@@ -110,13 +110,6 @@ class LinuxLoadBalancer(KernelBalancer):
         self._tick_plan: dict[int, list] = {}
         #: cid -> (callback, label) reused across tick reschedules
         self._tick_cb: dict[int, tuple] = {}
-        #: (cid, level) -> (load_epoch, branch): the no-op outcome of the
-        #: last balance pass at that key, valid while no core's load has
-        #: changed (see System._load_epoch).  Armed only under a batching
-        #: engine backend; the heap path never reads or writes it.
-        self._noop: dict[tuple[int, int], tuple[int, int]] = {}
-        self._memo_enabled = False
-        self._load_epoch: list[int] = [0]
         #: engine time snapshot read by _pull_sort_key during the sort
         self._sort_now = 0
         self.stats_pulls = 0
@@ -125,8 +118,6 @@ class LinuxLoadBalancer(KernelBalancer):
     # ------------------------------------------------------------------
     def attach(self, system: "System") -> None:
         super().attach(system)
-        self._memo_enabled = system.engine.batching
-        self._load_epoch = system._load_epoch
         for core in system.cores:
             core.idle_callbacks.append(self._newidle_balance)
             # Per-core tick plan, precomputed once: domain list with the
@@ -159,52 +150,17 @@ class LinuxLoadBalancer(KernelBalancer):
         now = self.system.engine.now
         idle = core.current is None and core.rq.count == 0
         last_balance = self._last_balance
-        if self._memo_enabled:
-            # batched backends: replay memoized no-op passes right here,
-            # skipping the _balance_domain frame.  The epoch is re-read
-            # per domain because a pass that does pull tasks bumps it.
-            noop = self._noop
-            epoch_cell = self._load_epoch
-            for domain, key, busy_iv, idle_iv in self._tick_plan[core.cid]:
-                if now - last_balance.get(key, 0) >= (idle_iv if idle else busy_iv):
-                    last_balance[key] = now
-                    memo = noop.get(key)
-                    if memo is not None and memo[0] == epoch_cell[0]:
-                        self.stats_attempts += 1
-                        if memo[1] == 2:
-                            self._failed.pop(key, None)
-                        continue
-                    self._balance_domain(core, domain)
-        else:
-            for domain, key, busy_iv, idle_iv in self._tick_plan[core.cid]:
-                if now - last_balance.get(key, 0) >= (idle_iv if idle else busy_iv):
-                    last_balance[key] = now
-                    self._balance_domain(core, domain)
+        for domain, key, busy_iv, idle_iv in self._tick_plan[core.cid]:
+            if now - last_balance.get(key, 0) >= (idle_iv if idle else busy_iv):
+                last_balance[key] = now
+                self._balance_domain(core, domain)
         callback, label = self._tick_cb[core.cid]
         self.system.engine.schedule(self.params.tick_us, callback, label)
 
     def _balance_domain(self, core: "CoreSim", domain: SchedDomain) -> None:
-        """One balancing pass at one domain level, pulling toward core.
-
-        Under a batching engine backend, passes that ended in one of the
-        three load-only no-op branches are memoized against the global
-        load epoch: while no core's load has changed, the pass would
-        sweep the same ``nr_running`` values and take the same branch,
-        so it is replayed (including its one side effect, the
-        ``_failed`` reset of the within-percentage branch) without the
-        group sweep.  Passes that reach :meth:`_pull_tasks` are never
-        memoized -- their outcome depends on simulated time (cache-hot
-        windows) and per-task state, not just loads.
-        """
+        """One balancing pass at one domain level, pulling toward core."""
         assert self.system is not None
         key = (core.cid, int(domain.level))
-        if self._memo_enabled:
-            memo = self._noop.get(key)
-            if memo is not None and memo[0] == self._load_epoch[0]:
-                self.stats_attempts += 1
-                if memo[1] == 2:
-                    self._failed.pop(key, None)
-                return
         self.stats_attempts += 1
         cores = self.system.cores
         # One pass over the groups, inlining nr_running: this sweep runs
@@ -227,21 +183,15 @@ class LinuxLoadBalancer(KernelBalancer):
                 busiest_group = g
                 busiest_load = total
         if busiest_group is None:
-            if self._memo_enabled:
-                self._noop[key] = (self._load_epoch[0], 1)
             return
         pct = self.params.imbalance_pct[domain.level]
         if busiest_load * 100 <= local_load * pct:
             self._failed.pop(key, None)
-            if self._memo_enabled:
-                self._noop[key] = (self._load_epoch[0], 2)
             return
         # integer imbalance: how many tasks to move to even the groups
         n_to_move = (busiest_load - local_load) // 2
         if n_to_move < 1:
             # e.g. 3 vs 2: the balance "cannot be improved"; do nothing
-            if self._memo_enabled:
-                self._noop[key] = (self._load_epoch[0], 3)
             return
         busiest_core = None
         busiest_nr = -1

@@ -363,7 +363,11 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             diff = differential_check(name, seed=args.seed, engine=args.engine)
             findings.extend(diff)
             if not args.json:
-                print(f"{name}: differential {'ok' if not diff else 'DIVERGED'}")
+                if any(f.severity == "error" for f in diff):
+                    status = "DIVERGED"
+                else:  # a warning here is a skipped leg
+                    status = "incomplete" if diff else "ok"
+                print(f"{name}: differential {status}")
 
     if args.json:
         print(_json.dumps([f.as_dict() for f in findings], indent=2))
@@ -518,8 +522,8 @@ def _bench_compare_pair(args: argparse.Namespace, bench) -> int:
     non-zero when the candidate is more than ``--threshold`` percent
     slower on any bench.  The deterministic event-count check still runs
     first (exit 2 on drift) unless ``--wall-only``; cross-engine pairs
-    are the intended use -- matching counts are the batching parity
-    tripwire.
+    are the intended use -- matching counts are the cross-engine
+    parity tripwire.
     """
     if args.baseline is not None:
         print("repro bench: --baseline does not combine with the "

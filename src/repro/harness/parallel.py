@@ -47,6 +47,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from repro.harness.experiment import run_app
 from repro.metrics.results import AppRunResult
+from repro.sim.backends import check_backend_name
 from repro.topology import presets
 from repro.topology.machine import Machine
 
@@ -138,6 +139,8 @@ class RunSpec:
         engine: str = "heap",
         **params: Any,
     ) -> "RunSpec":
+        """Build a normalized spec; unknown ``engine`` names raise ValueError."""
+        check_backend_name(engine)
         if cores is not None and not isinstance(cores, int):
             cores = tuple(cores)
         return cls(

@@ -33,15 +33,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.sched.cfs import CfsParams
-from repro.sched.runqueue import CfsRunQueue, O1RunQueue, _entry_counter
+from repro.sched.runqueue import CfsRunQueue, O1RunQueue
 from repro.sched.task import NICE_0_WEIGHT, Action, ActionType, Task, TaskState, WaitMode
-from repro.sim.engine import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -102,20 +99,6 @@ class CoreSim:
         self._mem_busy: list[tuple[int, float]] = system._mem_scope_busy.setdefault(
             scope_key, []
         )
-        #: the scope's version cell: bumped on every index mutation so
-        #: the per-core co-intensity memo below self-invalidates
-        self._mem_epoch: list[int] = system._mem_scope_epoch.setdefault(
-            scope_key, [0]
-        )
-        #: batch-aware fast paths (see repro.sim.backends): only the
-        #: batched engine arms the memoized co-intensity sum; the heap
-        #: path keeps the historical per-event loop untouched
-        self._batched: bool = system.engine.batching
-        self._co_epoch: int = -1
-        self._co_sum: float = 0.0
-        #: global load-epoch cell (see System._load_epoch), bumped on
-        #: every nr_running-affecting mutation of *this* core
-        self._load_epoch: list[int] = system._load_epoch
         # -- dispatch-path caches: machine/topology facts are immutable
         # for the lifetime of a System, so the per-dispatch rate and
         # slice computations read locals instead of chasing attributes.
@@ -138,18 +121,6 @@ class CoreSim:
         #: so the sibling may not exist yet during __init__)
         self._sib_core: Optional["CoreSim"] = None
         self._event_label: str = f"core{self.cid}"
-        #: the slice-expiry handler core events are scheduled against:
-        #: the batched backend routes through the fused straight-line
-        #: replica of the dispatch cycle, the heap backend through the
-        #: historical call chain (see _on_core_event_batched).  The
-        #: fused body reaches into CfsRunQueue internals, so the O(1)
-        #: queue (scheduler="o1") keeps the plain chain even when
-        #: batched -- the two handlers are digest-equivalent either way.
-        self._oce: Callable[[int], None] = (
-            self._on_core_event_batched
-            if self._batched and type(self.rq) is CfsRunQueue
-            else self._on_core_event
-        )
 
     # ------------------------------------------------------------------
     # queue state
@@ -194,7 +165,6 @@ class CoreSim:
         task.state = TaskState.RUNNABLE
         self.system.note_residency(task)
         self.rq.push(task)
-        self._load_epoch[0] += 1
         if self._in_resched:
             return  # the active dispatch loop will see the new task
         if self.current is None:
@@ -216,7 +186,6 @@ class CoreSim:
             self.throttled.remove(task)
         else:
             raise ValueError(f"{task} not queued on core {self.cid}")
-        self._load_epoch[0] += 1
         task.cur_core = None
         self.system.note_residency(task)
 
@@ -232,7 +201,6 @@ class CoreSim:
         self._charge_current()
         task = self.current
         self.current = None
-        self._load_epoch[0] += 1
         self._mem_note_off(task)
         task.state = TaskState.RUNNABLE
         task.last_descheduled_at = self.engine.now
@@ -318,19 +286,11 @@ class CoreSim:
         task.last_core = self.cid
         self.stats.context_switches += 1
         if task.state != TaskState.RUNNING:
-            # already slept/exited/migrated under us: nr_running dropped
-            self._load_epoch[0] += 1
-            return
+            return  # already slept/exited/migrated under us
         task.state = TaskState.RUNNABLE
         if task.throttled:
-            self._load_epoch[0] += 1
             self.throttled.append(task)
         else:
-            # requeue of the running task: nr_running is unchanged, and
-            # no load can be observed before the enclosing dispatch
-            # restores ``current`` (mid-dispatch readers go through
-            # _go_idle, which bumps) -- so the epoch stays put and
-            # steady-state slice rotation keeps the balance memos warm
             self.rq.push(task)
 
     def _dispatch_next(self) -> None:
@@ -341,14 +301,12 @@ class CoreSim:
             while True:
                 task = self.rq.pop_min()
                 if task is None:
-                    self._go_idle()  # bumps the load epoch itself
+                    self._go_idle()
                     if self.rq.count == 0:
                         return  # genuinely idle
                     continue  # idle balance pulled something
                 if task.throttled:
-                    # parked off the queue: nr_running really dropped
-                    self._load_epoch[0] += 1
-                    self.throttled.append(task)
+                    self.throttled.append(task)  # parked off the queue
                     continue
                 if task.waiting_on is not None or (
                     not task.needs_advance
@@ -360,14 +318,7 @@ class CoreSim:
                     break  # _prepare's immediate-True cases, inlined
                 if self._prepare(task):
                     break
-                # task slept or exited during prepare: it left the core
-                # for real, so the load epoch must move; pick again.
-                # (The pop -> _start round trip itself is load-neutral
-                # and deliberately does NOT bump: mid-dispatch readers
-                # are funneled through _go_idle, which bumps, and
-                # leaving the epoch alone is what lets the balancer
-                # memos survive steady-state slice rotation.)
-                self._load_epoch[0] += 1
+                # task slept or exited during prepare: pick again
         finally:
             self._in_resched = False
         self._start(task)
@@ -426,7 +377,7 @@ class CoreSim:
         self._gen += 1
         self._event = self.engine.schedule(
             run_for if run_for > 1 else 1,
-            self._oce,
+            self._on_core_event,
             self._event_label,
             self._gen,
         )
@@ -480,7 +431,6 @@ class CoreSim:
                 barrier = task.waiting_on
                 assert barrier is not None
                 self.current = None
-                self._load_epoch[0] += 1
                 self._mem_note_off(task)
                 task.last_descheduled_at = now
                 task.last_core = self.cid
@@ -540,7 +490,7 @@ class CoreSim:
             self._gen += 1
             self._event = self.engine.schedule(
                 run_for if run_for > 1 else 1,
-                self._oce,
+                self._on_core_event,
                 self._event_label,
                 self._gen,
             )
@@ -549,315 +499,6 @@ class CoreSim:
             return
         self._put_back_current()
         self._dispatch_next()
-
-    def _on_core_event_batched(self, gen: int) -> None:
-        """Fused slice-expiry handler for batching engine backends.
-
-        Replicates the heap path's call chain -- :meth:`_on_core_event`
-        -> :meth:`_charge_current` -> :meth:`_redispatch` ->
-        (:meth:`_put_back_current` + :meth:`_dispatch_next` +
-        :meth:`_start`) with :meth:`effective_rate`,
-        :meth:`_run_duration`, :meth:`_cancel_event` and the engine's
-        ``schedule`` flattened into one straight-line body.  Every
-        mutation, counter and float operation appears in the same order
-        with the same operands as in those methods, so runs are
-        bit-identical to the heap backend; rare branches (KMP spin
-        timeouts, idle transitions, program advance, non-CFS slice
-        policies) drop back to the shared helpers.  The golden-digest
-        parity suite holds the two paths together -- when editing one
-        of the replicated methods, mirror the change here.
-
-        Why it exists: the per-event cost of the simulator is dominated
-        not by any single computation but by the Python call overhead
-        of the chain above (~15 frames per dispatched event).  The
-        batched backend's throughput win comes from this fusion plus
-        the epoch-memoized balancer and contention-rate passes; the
-        heap backend keeps the historical frame-per-step structure that
-        produced every existing baseline.
-        """
-        if gen != self._gen or self.current is None:
-            return  # superseded
-        task = self.current
-        engine = self.engine
-        now = engine.now
-        system = self.system
-        rq = self.rq
-        # ---- inline _charge_current
-        dt = now - self.dispatch_started_at
-        if dt > 0:
-            self.dispatch_started_at = now
-            task.exec_us += dt
-            waiting = task.waiting_on is not None
-            trace = system.trace
-            if trace is not None:
-                trace.record(
-                    task.tid, task.name, self.cid, now - dt, now,
-                    "wait" if waiting else "run",
-                )
-            vr = task.vruntime + dt * (NICE_0_WEIGHT / task.weight)
-            task.vruntime = vr
-            # inline rq.note_current_vruntime(vr): lazy peek-min scan
-            floor = vr
-            heap_ = rq._heap
-            live = rq._live
-            while heap_:
-                entry = heap_[0]
-                if live.get(entry[2].tid) is entry:
-                    if entry[0] < floor:
-                        floor = entry[0]
-                    break
-                heappop(heap_)
-            if floor > rq.min_vruntime:
-                rq.min_vruntime = floor
-            stats = self.stats
-            stats.busy_us += dt
-            if waiting:
-                stats.spin_us += dt
-            else:
-                rate = self._rate_at_dispatch
-                debt_paid = min(float(dt), task.migration_debt_us)
-                task.migration_debt_us -= debt_paid
-                productive = dt - debt_paid
-                task.work_remaining -= productive * rate
-                task.compute_us += int(productive)
-            kb = system._kb_on_charge
-            if kb is not None:
-                kb(self, task, dt)
-            observers = system.charge_observers
-            if observers:
-                for observer in observers:
-                    observer(self, task, dt)
-        # ---- inline _on_core_event's wait/work bookkeeping
-        if task.waiting_on is not None:
-            if task.spin_deadline is not None and now >= task.spin_deadline:
-                # rare: KMP_BLOCKTIME expired -- shared slow helpers
-                barrier = task.waiting_on
-                assert barrier is not None
-                self.current = None
-                self._load_epoch[0] += 1
-                self._mem_note_off(task)
-                task.last_descheduled_at = now
-                task.last_core = self.cid
-                barrier.spin_timeout(task, now)
-                system.note_residency(task)
-                self._dispatch_next()
-                return
-            if task.wait_mode == WaitMode.YIELD:
-                # inline rq.max_vruntime(): lazy max-heap peek
-                mheap = rq._max_heap
-                live = rq._live
-                mv = rq.min_vruntime
-                while mheap:
-                    mentry = mheap[0][2]
-                    if live.get(mentry[2].tid) is mentry:
-                        mv = mentry[0]
-                        break
-                    heappop(mheap)
-                task.vruntime = max(task.vruntime, mv) + self.params.yield_penalty
-        elif task.work_remaining <= _WORK_EPS and task.migration_debt_us <= _WORK_EPS:
-            task.work_remaining = 0.0
-            task.needs_advance = True
-        # ---- inline _redispatch
-        if (
-            rq.count == 0
-            and not task.throttled
-            and task.state == TaskState.RUNNING
-            and (
-                task.waiting_on is not None
-                or (
-                    not task.needs_advance
-                    and (
-                        task.work_remaining > _WORK_EPS
-                        or task.migration_debt_us > _WORK_EPS
-                    )
-                )
-            )
-        ):
-            # lone-task fast path: the queue round trip is an identity
-            task.last_descheduled_at = now
-            task.last_core = self.cid
-            stats = self.stats
-            stats.context_switches += 1
-            stats.dispatches += 1
-        else:
-            # ---- inline _put_back_current (push inlined too: the
-            # current task can never already be queued, so push's
-            # already-queued guard is vacuous here).  The mem-index
-            # remove is DEFERRED: the only readers of the contention
-            # index that can run mid-dispatch sit behind _go_idle and
-            # _prepare, which flush the pending remove first.  If the
-            # dispatch reaches _start without either, and the incoming
-            # task has the exact same mem intensity, the remove+insort
-            # pair is an identity on the sorted list and is elided
-            # together with its two epoch bumps -- which is what keeps
-            # the co-intensity memo warm across steady-state rotation.
-            self.current = None
-            prev = task
-            off_pending = self._mem_track and prev.mem_intensity > 0.0
-            task.last_descheduled_at = now
-            task.last_core = self.cid
-            self.stats.context_switches += 1
-            if task.state == TaskState.RUNNING:
-                task.state = TaskState.RUNNABLE
-                if task.throttled:
-                    self._load_epoch[0] += 1
-                    self.throttled.append(task)
-                else:
-                    # requeue: load-neutral, so no epoch bump (mirrors
-                    # _put_back_current); inline rq.push(task)
-                    entry = (task.vruntime, next(_entry_counter), task)  # sim-lint: ignore[FLOW004]
-                    rq._live[task.tid] = entry
-                    heappush(rq._heap, entry)
-                    heappush(rq._max_heap, (-entry[0], -entry[1], entry))
-                    rq._total_weight += task.weight
-                    rq.count += 1
-            else:
-                # slept/exited/migrated under us: nr_running dropped
-                self._load_epoch[0] += 1
-            # ---- inline _dispatch_next (with _cancel_event folded in:
-            # the pending event is the one firing right now, already
-            # popped, so clearing the slot and bumping the generation
-            # is all the cancel would observably do)
-            self._event = None
-            self._gen += 1
-            self._in_resched = True
-            try:
-                while True:
-                    # inline rq.pop_min(); _heap/_live re-read each lap
-                    # because _go_idle/_prepare side effects can compact
-                    # (rebind) them
-                    task = None
-                    heap_ = rq._heap
-                    live = rq._live
-                    while heap_:
-                        entry = heappop(heap_)
-                        cand = entry[2]
-                        if live.get(cand.tid) is entry:
-                            del live[cand.tid]
-                            rq._total_weight -= cand.weight
-                            rq.count -= 1
-                            if entry[0] > rq.min_vruntime:
-                                rq.min_vruntime = entry[0]
-                            task = cand
-                            break
-                    if task is None:
-                        if off_pending:  # flush before readers can look
-                            off_pending = False
-                            del self._mem_busy[bisect_left(self._mem_busy, (self.cid, 0.0))]
-                            self._mem_epoch[0] += 1
-                        self._go_idle()  # bumps the load epoch itself
-                        if rq.count == 0:
-                            return  # genuinely idle
-                        continue  # idle balance pulled something
-                    if task.throttled:
-                        # parked off the queue: nr_running dropped
-                        self._load_epoch[0] += 1
-                        self.throttled.append(task)
-                        continue
-                    if task.waiting_on is not None or (
-                        not task.needs_advance
-                        and (
-                            task.work_remaining > _WORK_EPS
-                            or task.migration_debt_us > _WORK_EPS
-                        )
-                    ):
-                        break  # _prepare's immediate-True cases, inlined
-                    if off_pending:  # flush before readers can look
-                        off_pending = False
-                        del self._mem_busy[bisect_left(self._mem_busy, (self.cid, 0.0))]
-                        self._mem_epoch[0] += 1
-                    if self._prepare(task):
-                        break
-                    # slept or exited during prepare: load really
-                    # dropped; pick again (see _dispatch_next on why
-                    # the pop -> start round trip itself never bumps)
-                    self._load_epoch[0] += 1
-            finally:
-                self._in_resched = False
-            # ---- inline _start (sans the schedule tail shared below)
-            task.state = TaskState.RUNNING
-            task.cur_core = self.cid
-            self.current = task
-            if off_pending and task.mem_intensity == prev.mem_intensity:
-                pass  # identity remove+insort of the same pair: elided
-            else:
-                if off_pending:
-                    del self._mem_busy[bisect_left(self._mem_busy, (self.cid, 0.0))]
-                    self._mem_epoch[0] += 1
-                if self._mem_track and task.mem_intensity > 0.0:
-                    insort(self._mem_busy, (self.cid, task.mem_intensity))
-                    self._mem_epoch[0] += 1
-            self.dispatch_started_at = now
-            self.stats.dispatches += 1
-        # ---- inline effective_rate
-        rate = self._clock_factor
-        if self._smt_active:
-            sib = self._sib_core
-            if sib is None and self.hw.smt_sibling is not None:
-                sib = self._sib_core = system.cores[self.hw.smt_sibling]
-            if sib is not None and sib.current is not None:
-                rate *= self._smt_derate
-        home = task.home_node
-        if self._numa and home is not None and home != self._numa_node:
-            rate /= self._numa_remote_slowdown
-        mem_intensity = task.mem_intensity
-        if self._mem_track and mem_intensity > 0.0:
-            if self._co_epoch == self._mem_epoch[0]:
-                co = self._co_sum
-            else:
-                co = 0.0
-                my_cid = self.cid
-                for cid, intensity in self._mem_busy:
-                    if cid != my_cid:
-                        co += intensity
-                self._co_epoch = self._mem_epoch[0]
-                self._co_sum = co
-            rate /= 1.0 + mem_intensity * self._mem_alpha * co
-        self._rate_at_dispatch = rate
-        # ---- inline _run_duration
-        nr = rq.count + 1
-        weight = task.weight
-        total_weight = rq.total_weight() + weight
-        params = self.params
-        if type(params) is CfsParams:
-            scaled = nr * params.min_granularity
-            period = params.target_latency
-            if scaled > period:
-                period = scaled
-            slice_us = int(period * weight / total_weight)
-            if slice_us < params.min_granularity:
-                slice_us = params.min_granularity
-        else:
-            slice_us = params.slice_for(nr, weight, total_weight)
-        if task.waiting_on is not None:
-            if task.wait_mode == WaitMode.YIELD and rq.count > 0:
-                run_for = min(slice_us, self.yield_check_us)
-            else:
-                run_for = slice_us
-            if task.spin_deadline is not None:
-                run_for = min(run_for, max(1, task.spin_deadline - now))
-        else:
-            need = task.migration_debt_us + task.work_remaining / rate
-            run_for = min(slice_us, math.ceil(need - 1e-9))
-        # ---- inline BatchedEngine.schedule (delay >= 1, so the
-        # negative-delay validation cannot fire)
-        self._gen += 1
-        ev_time = now + (run_for if run_for > 1 else 1)
-        ev = Event(
-            ev_time, engine._seq, self._oce, self._event_label, engine, self._gen
-        )
-        engine._seq += 1
-        buckets = engine._buckets
-        bucket = buckets.get(ev_time)
-        if bucket is None:
-            buckets[ev_time] = deque((ev,))
-            heappush(engine._times, ev_time)
-        else:
-            bucket.append(ev)
-        engine._size += 1
-        self._event = ev
-        if self._smt_active:
-            self._notify_sibling_rate_change()
 
     # ------------------------------------------------------------------
     # helpers
@@ -879,26 +520,15 @@ class CoreSim:
         if self._numa and home is not None and home != self._numa_node:
             rate /= self._numa_remote_slowdown
         if self._mem_track and task.mem_intensity > 0.0:
-            if self._batched and self._co_epoch == self._mem_epoch[0]:
-                # batch-aware fast path: the scope index is unchanged
-                # since the last sum (epochs match), so reuse it.  The
-                # cached value was produced by the identical loop below,
-                # so replaying it is bit-identical by construction.
-                co = self._co_sum
-            else:
-                # Maintained scope index instead of an all-core sweep.
-                # The index holds only positive intensities, sorted by
-                # cid, so this sum adds the same floats in the same
-                # order as the old core-order sweep (zeros add
-                # exactly), bit-identically.
-                co = 0.0
-                my_cid = self.cid
-                for cid, intensity in self._mem_busy:
-                    if cid != my_cid:
-                        co += intensity
-                if self._batched:
-                    self._co_epoch = self._mem_epoch[0]
-                    self._co_sum = co
+            # Maintained scope index instead of an all-core sweep.  The
+            # index holds only positive intensities, sorted by cid, so
+            # this sum adds the same floats in the same order as the old
+            # core-order sweep (zeros add exactly), bit-identically.
+            co = 0.0
+            my_cid = self.cid
+            for cid, intensity in self._mem_busy:
+                if cid != my_cid:
+                    co += intensity
             rate /= 1.0 + task.mem_intensity * self._mem_alpha * co
         return rate
 
@@ -906,7 +536,6 @@ class CoreSim:
         """The core started running ``task``: join the contention scope."""
         if self._mem_track and task.mem_intensity > 0.0:
             insort(self._mem_busy, (self.cid, task.mem_intensity))
-            self._mem_epoch[0] += 1
 
     def _mem_note_off(self, task: Task) -> None:
         """``task`` (the previous ``current``) left the core."""
@@ -914,7 +543,6 @@ class CoreSim:
             # one entry per cid, and intensities are positive, so the
             # insertion point of (cid, 0.0) is exactly our entry
             del self._mem_busy[bisect_left(self._mem_busy, (self.cid, 0.0))]
-            self._mem_epoch[0] += 1
 
     def _should_preempt(self, woken: Task) -> bool:
         cur = self.current
@@ -926,10 +554,6 @@ class CoreSim:
 
     def _go_idle(self) -> None:
         """Run idle-balance hooks; the queue may be refilled by a pull."""
-        # the hooks below read loads mid-dispatch, after pops/parks that
-        # the enclosing _dispatch_next only bumps for in its finally --
-        # refresh the epoch here so no memoized balance pass can replay
-        self._load_epoch[0] += 1
         self.idle_since = self.engine.now
         self.stats.idle_balance_calls += 1
         for cb in list(self.idle_callbacks):

@@ -6,23 +6,16 @@ event queue is stored and drained is an implementation detail this
 package makes swappable:
 
 ``heap``
-    The original binary heap of ``(time, seq, event)`` triples
-    (:class:`~repro.sim.engine.Engine` itself).  The conservative
-    default.
-``batched``
-    A calendar-queue backend (:class:`~repro.sim.backends.batched
-    .BatchedEngine`): one FIFO bucket per distinct integer timestamp,
-    drained a whole bucket ("tick") at a time.  Same-time events fire
-    in sequence order exactly as the heap does, so every run digest is
-    unchanged; it additionally flips :attr:`Engine.batching` on, which
-    arms the batch-aware memoization fast paths in
-    :class:`~repro.sched.core.CoreSim` and
-    :class:`~repro.balance.linux.LinuxLoadBalancer`.
+    The binary heap of ``(time, seq, event)`` triples
+    (:class:`~repro.sim.engine.Engine` itself) driving the plain
+    Python dispatch chain in :class:`~repro.sched.core.CoreSim`.  The
+    default, and the reference every other backend is held to.
 ``native``
-    The batched backend with its drain loop -- and the fused CFS
-    charge/requeue/pick/start path it dispatches -- compiled to C
-    (:class:`~repro.sim.backends.native.NativeEngine`).  Built on
-    demand with the stock ``cc`` toolchain, bound via stdlib
+    The same heap, drained by a C loop
+    (:class:`~repro.sim.backends.native.NativeEngine`) that also runs
+    a compiled twin of the CFS slice-expiry chain
+    (``_on_core_event`` -> ``_charge_current`` -> ``_redispatch``).
+    Built on demand with the stock ``cc`` toolchain, bound via stdlib
     :mod:`ctypes`, artifact cached under a source-digest key.  The C
     twin performs identical float operations in identical order, so
     digests match the heap reference bit for bit.  Machines without a
@@ -41,7 +34,6 @@ argued.
 
 from __future__ import annotations
 
-from repro.sim.backends.batched import BatchedEngine
 from repro.sim.backends.heap import HeapEngine
 from repro.sim.backends.native import NativeEngine
 from repro.sim.backends.nativebuild import NativeUnavailableError, native_available
@@ -49,19 +41,18 @@ from repro.sim.engine import Engine
 
 __all__ = [
     "ENGINE_BACKENDS",
-    "BatchedEngine",
     "HeapEngine",
     "NativeEngine",
     "NativeUnavailableError",
     "backend_available",
     "backend_names",
+    "check_backend_name",
     "make_engine",
 ]
 
 #: backend name -> engine class; insertion order is documentation order
 ENGINE_BACKENDS: dict[str, type[Engine]] = {
     "heap": HeapEngine,
-    "batched": BatchedEngine,
     "native": NativeEngine,
 }
 
@@ -74,10 +65,10 @@ def backend_names() -> tuple[str, ...]:
 def backend_available(name: str) -> bool:
     """True iff ``name`` can actually be constructed on this machine.
 
-    Registered pure-Python backends are always available; ``native``
-    additionally needs a working C toolchain (probing it compiles and
-    caches the library as a side effect, so a True answer means later
-    constructions are cheap).
+    ``heap`` is always available; ``native`` additionally needs a
+    working C toolchain (probing it compiles and caches the library as
+    a side effect, so a True answer means later constructions are
+    cheap).
     """
     if name not in ENGINE_BACKENDS:
         return False
@@ -86,17 +77,21 @@ def backend_available(name: str) -> bool:
     return True
 
 
-def make_engine(name: str, max_events: int = 200_000_000) -> Engine:
-    """Instantiate the engine backend called ``name``.
+def check_backend_name(name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` is a registered backend.
 
-    Raises ``ValueError`` for unknown names (argparse ``choices`` catch
-    this earlier on the CLI; this guards the library path).
+    argparse ``choices`` catch bad names earlier on the CLI; this
+    guards the library and wire paths (``make_engine``,
+    ``RunSpec.make``).
     """
-    try:
-        cls = ENGINE_BACKENDS[name]
-    except KeyError:
+    if name not in ENGINE_BACKENDS:
         raise ValueError(
             f"unknown engine backend {name!r}; expected one of "
             f"{backend_names()}"
-        ) from None
-    return cls(max_events=max_events)
+        )
+
+
+def make_engine(name: str, max_events: int = 200_000_000) -> Engine:
+    """Instantiate the engine backend called ``name``."""
+    check_backend_name(name)
+    return ENGINE_BACKENDS[name](max_events=max_events)

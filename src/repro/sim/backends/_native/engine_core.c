@@ -1,33 +1,37 @@
-/* Native engine core: the calendar-queue drain plus the fused CFS
- * dispatch path, compiled to machine code.
+/* Native engine core: the heap drain loop plus the CFS slice-expiry
+ * chain, compiled to machine code.
  *
  * This library is the C twin of two pieces of Python:
  *
- *   repro/sim/backends/batched.py  BatchedEngine._drain  (single=False)
- *   repro/sched/core.py            CoreSim._on_core_event_batched
+ *   repro/sim/engine.py   Engine._drain  (single=False)
+ *   repro/sched/core.py   CoreSim._on_core_event -> _charge_current ->
+ *                         _redispatch (-> _put_back_current +
+ *                         _dispatch_next + _start), with
+ *                         effective_rate, _run_duration and
+ *                         Engine.schedule inlined
  *
- * It operates directly on the live Python objects (the engine's bucket
- * dict and times heap, the run queue's entry heaps, Task attribute
- * dicts) through the CPython C-API, performing the *identical sequence
- * of operations* -- every float add/mul/div, every heap sift, every
- * counter bump appears in the same order with the same operands as the
- * Python source.  IEEE-754 doubles are what Python floats are, so the
- * results are bit-identical and the golden run digests hold across
- * backends.  When editing either Python twin, mirror the change here;
- * the digest-parity suite will catch a miss.
+ * It operates directly on the live Python objects (the engine's
+ * ``(time, seq, event)`` heap, the run queue's entry heaps, Task
+ * attribute dicts) through the CPython C-API, performing the
+ * *identical sequence of operations* -- every float add/mul/div, every
+ * heap sift, every counter bump appears in the same order with the
+ * same operands as the Python source.  IEEE-754 doubles are what
+ * Python floats are, so the results are bit-identical and the golden
+ * run digests hold across backends.  When editing either Python twin,
+ * mirror the change here; the digest-parity suite will catch a miss.
  *
  * Division of labour: C owns the hot straight line (event pop, charge
  * arithmetic, requeue, pick-next, rate/slice math, event re-schedule);
  * Python keeps everything stateful-rare (observers, tracing, balancer
- * idle hooks, program advance, barrier spin-timeouts, non-CFS slice
- * policies) via call-outs.  There is exactly ONE ctypes boundary
- * crossing per engine run -- repro_drain -- because a per-event ctypes
- * call would cost more than the interpreted loop it replaces.
+ * idle hooks, program advance, barrier spin-timeouts) via call-outs,
+ * and cores with a non-CFS slice policy or the O(1) run queue run the
+ * Python method whole.  There is exactly ONE ctypes boundary crossing
+ * per engine run -- repro_drain -- because a per-event ctypes call
+ * would cost more than the interpreted loop it replaces.
  *
  * The heap routines transcribe heapq's _siftdown/_siftup verbatim so
- * list layouts (not just pop order) match the Python backends; layout
- * differences would change later pop order after mixed push/pop
- * sequences.
+ * list layouts (not just pop order) match the Python side, which
+ * keeps pushing onto the same lists between C dispatches.
  *
  * Loaded with ctypes.PyDLL (GIL held; error flag checked per call) by
  * repro.sim.backends.nativebuild.  No Python.h-level module object is
@@ -46,17 +50,16 @@
 /* ------------------------------------------------------------------ */
 
 #define ATTR_NAMES(X)                                                       \
-    /* engine */                                                            \
-    X(now) X(_buckets) X(_times) X(_size) X(_cancelled) X(_dispatched)      \
-    X(max_events) X(_stop_requested) X(observers) X(_seq)                   \
+    /* engine (and run queue: both keep a ``_heap``) */                     \
+    X(now) X(_heap) X(_cancelled) X(_dispatched) X(max_events)              \
+    X(_stop_requested) X(observers) X(_seq)                                 \
     /* event */                                                             \
-    X(callback) X(payload) X(cancelled) X(in_heap) X(label)                 \
+    X(callback) X(payload) X(cancelled) X(in_heap) X(label) X(engine)       \
     /* core */                                                              \
     X(_gen) X(current) X(system) X(rq) X(params) X(dispatch_started_at)     \
-    X(stats) X(_rate_at_dispatch) X(_event) X(_event_label) X(_oce)         \
-    X(_in_resched) X(_load_epoch) X(_mem_busy) X(_mem_epoch) X(_mem_track)  \
-    X(_mem_alpha) X(_co_epoch) X(_co_sum) X(_clock_factor) X(_smt_active)   \
-    X(_smt_derate) X(_sib_core) X(_numa) X(_numa_node)                      \
+    X(stats) X(_rate_at_dispatch) X(_event) X(_event_label) X(_in_resched)  \
+    X(_mem_busy) X(_mem_track) X(_mem_alpha) X(_clock_factor)               \
+    X(_smt_active) X(_smt_derate) X(_sib_core) X(_numa) X(_numa_node)       \
     X(_numa_remote_slowdown) X(hw) X(cid) X(yield_check_us) X(throttled)    \
     /* task */                                                              \
     X(tid) X(name) X(weight) X(vruntime) X(exec_us) X(compute_us)           \
@@ -64,8 +67,7 @@
     X(spin_deadline) X(state) X(needs_advance) X(mem_intensity)             \
     X(home_node) X(last_descheduled_at) X(last_core) X(cur_core)            \
     /* run queue */                                                         \
-    X(_heap) X(_live) X(_max_heap) X(_total_weight) X(count)                \
-    X(min_vruntime)                                                         \
+    X(_live) X(_max_heap) X(_total_weight) X(count) X(min_vruntime)         \
     /* stats */                                                             \
     X(busy_us) X(spin_us) X(context_switches) X(dispatches)                 \
     /* system */                                                            \
@@ -77,19 +79,19 @@
     /* methods */                                                           \
     X(_prepare) X(_go_idle) X(_dispatch_next) X(_mem_note_off)              \
     X(_notify_sibling_rate_change) X(note_residency) X(spin_timeout)        \
-    X(record) X(popleft) X(append)
+    X(record)
 
 typedef struct {
     /* support objects (owned references, held for process lifetime) */
     PyObject *SimulationError;
     PyObject *EventClass;
-    PyObject *fused;         /* CoreSim._on_core_event_batched, the function */
+    PyObject *core_event;    /* CoreSim._on_core_event, the function */
     PyObject *CfsParams;     /* the class; exact-type gate for slice math */
+    PyObject *CfsRunQueue;   /* the class; exact-type gate for queue ops */
     PyObject *st_running;    /* TaskState.RUNNING */
     PyObject *st_runnable;   /* TaskState.RUNNABLE */
     PyObject *wm_yield;      /* WaitMode.YIELD */
     PyObject *entry_counter; /* runqueue._entry_counter (itertools.count) */
-    PyObject *deque_type;
     PyObject *str_wait;      /* "wait" */
     PyObject *str_run;       /* "run" */
     double work_eps;
@@ -103,8 +105,9 @@ static support_t S;
 static int S_ready = 0;
 
 /* process-lifetime dispatch counters, readable via repro_native_stat:
- * how many events ran through the C fused twin, the generic Python
- * call, or were delegated to the Python twin (non-CFS params).  The
+ * how many events ran through the C twin of the core event, the
+ * generic Python call, or were handed back to CoreSim._on_core_event
+ * (non-CFS params).  The
  * test suite uses these to prove the fast path is actually exercised
  * rather than silently falling back. */
 static long long stat_fused = 0;
@@ -118,10 +121,6 @@ static long long stat_delegated = 0;
 /* new reference, or NULL with error set */
 static inline PyObject *aget(PyObject *o, PyObject *name) {
     return PyObject_GetAttr(o, name);
-}
-
-static inline int aset(PyObject *o, PyObject *name, PyObject *v) {
-    return PyObject_SetAttr(o, name, v);
 }
 
 static int aget_ll(PyObject *o, PyObject *name, long long *out) {
@@ -149,29 +148,6 @@ static int aget_dbl(PyObject *o, PyObject *name, double *out) {
     return 0;
 }
 
-static int aset_ll(PyObject *o, PyObject *name, long long v) {
-    PyObject *obj = PyLong_FromLongLong(v);
-    if (obj == NULL) return -1;
-    int rc = PyObject_SetAttr(o, name, obj);
-    Py_DECREF(obj);
-    return rc;
-}
-
-static int aset_dbl(PyObject *o, PyObject *name, double v) {
-    PyObject *obj = PyFloat_FromDouble(v);
-    if (obj == NULL) return -1;
-    int rc = PyObject_SetAttr(o, name, obj);
-    Py_DECREF(obj);
-    return rc;
-}
-
-/* o.name += delta on an int attribute */
-static int aadd_ll(PyObject *o, PyObject *name, long long delta) {
-    long long v;
-    if (aget_ll(o, name, &v) < 0) return -1;
-    return aset_ll(o, name, v + delta);
-}
-
 /* truthiness of attribute: 1/0, or -1 with error set */
 static int atrue(PyObject *o, PyObject *name) {
     PyObject *v = PyObject_GetAttr(o, name);
@@ -186,8 +162,8 @@ static int atrue(PyObject *o, PyObject *name) {
 /*                                                                     */
 /* Generic PyObject_GetAttr costs as much as the 3.11 specializing     */
 /* interpreter's LOAD_ATTR, which is why a naive C transcription of    */
-/* the fused path runs no faster than the bytecode it replaces.  All   */
-/* hot classes except Event are plain-__dict__ classes with no data    */
+/* the dispatch chain runs no faster than the bytecode it replaces.   */
+/* All hot classes except Event are plain-__dict__ classes with no data */
 /* descriptors on the touched names, so we materialize each object's   */
 /* instance dict once (PyObject_GenericGetDict) and then read/write    */
 /* through PyDict_* with pre-interned keys.  Event has __slots__; its  */
@@ -368,69 +344,60 @@ static PyObject *event_new(PyObject *time_obj, long long seq_ll,
     return ev;
 }
 
-/* list[idx] += delta (the epoch cells: core._load_epoch[0] etc.) */
-static int cell_add(PyObject *list, long long delta) {
-    PyObject *v = PyList_GetItem(list, 0); /* borrowed */
-    if (v == NULL) return -1;
-    long long r = PyLong_AsLongLong(v);
-    if (r == -1 && PyErr_Occurred()) return -1;
-    PyObject *obj = PyLong_FromLongLong(r + delta);
-    if (obj == NULL) return -1;
-    return PyList_SetItem(list, 0, obj); /* steals obj, decrefs old */
-}
-
 /* ------------------------------------------------------------------ */
 /* heapq transcription (identical layouts to Lib/heapq.py)             */
 /* ------------------------------------------------------------------ */
 
-/* a < b, returning 1/0, or -1 with error set */
-typedef int (*lt_fn)(PyObject *a, PyObject *b);
-
-/* for the engine's _times heap: plain ints */
-static int lt_time(PyObject *a, PyObject *b) {
-    if (PyLong_CheckExact(a) && PyLong_CheckExact(b)) {
-        long long la = PyLong_AsLongLong(a);
-        if (la == -1 && PyErr_Occurred()) { PyErr_Clear(); goto generic; }
-        long long lb = PyLong_AsLongLong(b);
-        if (lb == -1 && PyErr_Occurred()) { PyErr_Clear(); goto generic; }
-        return la < lb;
+/* x < y and x == y for one tuple key (a float vruntime or an int
+ * time/counter); returns 0, or -1 when the types need the generic
+ * comparison */
+static int key_cmp(PyObject *x, PyObject *y, int *lt, int *eq) {
+    if (PyFloat_CheckExact(x) && PyFloat_CheckExact(y)) {
+        double dx = PyFloat_AS_DOUBLE(x), dy = PyFloat_AS_DOUBLE(y);
+        *lt = dx < dy;
+        *eq = dx == dy;
+        return 0;
     }
-generic:
-    return PyObject_RichCompareBool(a, b, Py_LT);
+    if (PyLong_CheckExact(x) && PyLong_CheckExact(y)) {
+        int ox, oy;
+        long long lx = PyLong_AsLongLongAndOverflow(x, &ox);
+        long long ly = PyLong_AsLongLongAndOverflow(y, &oy);
+        if (ox || oy) return -1;
+        *lt = lx < ly;
+        *eq = lx == ly;
+        return 0;
+    }
+    return -1;
 }
 
-/* for rq._heap / rq._max_heap: (float, int, ...) tuples; unique second
- * elements mean the comparison never reaches the third */
+/* a < b for the heap entries this library sifts: the engine's
+ * (time, seq, event) triples and the run queue's (vruntime, counter,
+ * task) / (-vruntime, -counter, entry) triples.  Second elements are
+ * unique, so the comparison -- like Python's tuple order -- never
+ * reaches the third. */
 static int lt_entry(PyObject *a, PyObject *b) {
     if (PyTuple_CheckExact(a) && PyTuple_CheckExact(b) &&
         PyTuple_GET_SIZE(a) >= 2 && PyTuple_GET_SIZE(b) >= 2) {
-        PyObject *a0 = PyTuple_GET_ITEM(a, 0), *b0 = PyTuple_GET_ITEM(b, 0);
-        PyObject *a1 = PyTuple_GET_ITEM(a, 1), *b1 = PyTuple_GET_ITEM(b, 1);
-        if (PyFloat_CheckExact(a0) && PyFloat_CheckExact(b0) &&
-            PyLong_CheckExact(a1) && PyLong_CheckExact(b1)) {
-            double da = PyFloat_AS_DOUBLE(a0), db = PyFloat_AS_DOUBLE(b0);
-            if (da < db) return 1;
-            if (db < da) return 0;
-            long long la = PyLong_AsLongLong(a1);
-            if (la == -1 && PyErr_Occurred()) { PyErr_Clear(); goto generic; }
-            long long lb = PyLong_AsLongLong(b1);
-            if (lb == -1 && PyErr_Occurred()) { PyErr_Clear(); goto generic; }
-            return la < lb;
+        int lt, eq;
+        if (key_cmp(PyTuple_GET_ITEM(a, 0), PyTuple_GET_ITEM(b, 0),
+                    &lt, &eq) == 0) {
+            if (!eq) return lt;
+            if (key_cmp(PyTuple_GET_ITEM(a, 1), PyTuple_GET_ITEM(b, 1),
+                        &lt, &eq) == 0 && !eq)
+                return lt;
         }
     }
-generic:
     return PyObject_RichCompareBool(a, b, Py_LT);
 }
 
 /* heapq._siftdown(heap, startpos, pos) */
-static int siftdown(PyObject *heap, Py_ssize_t startpos, Py_ssize_t pos,
-                    lt_fn lt) {
+static int siftdown(PyObject *heap, Py_ssize_t startpos, Py_ssize_t pos) {
     PyObject *newitem = PyList_GET_ITEM(heap, pos);
     Py_INCREF(newitem);
     while (pos > startpos) {
         Py_ssize_t parentpos = (pos - 1) >> 1;
         PyObject *parent = PyList_GET_ITEM(heap, parentpos);
-        int cmp = lt(newitem, parent);
+        int cmp = lt_entry(newitem, parent);
         if (cmp < 0) { Py_DECREF(newitem); return -1; }
         if (!cmp) break;
         Py_INCREF(parent);
@@ -444,7 +411,7 @@ static int siftdown(PyObject *heap, Py_ssize_t startpos, Py_ssize_t pos,
 }
 
 /* heapq._siftup(heap, pos): bubble the hole to a leaf, then siftdown */
-static int siftup(PyObject *heap, Py_ssize_t pos, lt_fn lt) {
+static int siftup(PyObject *heap, Py_ssize_t pos) {
     Py_ssize_t endpos = PyList_GET_SIZE(heap);
     Py_ssize_t startpos = pos;
     PyObject *newitem = PyList_GET_ITEM(heap, pos);
@@ -453,7 +420,7 @@ static int siftup(PyObject *heap, Py_ssize_t pos, lt_fn lt) {
     while (childpos < endpos) {
         Py_ssize_t rightpos = childpos + 1;
         if (rightpos < endpos) {
-            int cmp = lt(PyList_GET_ITEM(heap, childpos),
+            int cmp = lt_entry(PyList_GET_ITEM(heap, childpos),
                          PyList_GET_ITEM(heap, rightpos));
             if (cmp < 0) { Py_DECREF(newitem); return -1; }
             if (!cmp) childpos = rightpos;
@@ -468,16 +435,16 @@ static int siftup(PyObject *heap, Py_ssize_t pos, lt_fn lt) {
         childpos = 2 * pos + 1;
     }
     if (PyList_SetItem(heap, pos, newitem) < 0) return -1;
-    return siftdown(heap, startpos, pos, lt);
+    return siftdown(heap, startpos, pos);
 }
 
-static int heappush_c(PyObject *heap, PyObject *item, lt_fn lt) {
+static int heappush_c(PyObject *heap, PyObject *item) {
     if (PyList_Append(heap, item) < 0) return -1;
-    return siftdown(heap, 0, PyList_GET_SIZE(heap) - 1, lt);
+    return siftdown(heap, 0, PyList_GET_SIZE(heap) - 1);
 }
 
 /* new reference, or NULL with error set; heap must be non-empty */
-static PyObject *heappop_c(PyObject *heap, lt_fn lt) {
+static PyObject *heappop_c(PyObject *heap) {
     Py_ssize_t n = PyList_GET_SIZE(heap);
     PyObject *lastelt = PyList_GET_ITEM(heap, n - 1);
     Py_INCREF(lastelt);
@@ -492,7 +459,7 @@ static PyObject *heappop_c(PyObject *heap, lt_fn lt) {
         Py_DECREF(returnitem);
         return NULL;
     }
-    if (siftup(heap, 0, lt) < 0) {
+    if (siftup(heap, 0) < 0) {
         Py_DECREF(returnitem);
         return NULL;
     }
@@ -546,25 +513,16 @@ static int mem_insort(PyObject *mem_busy, long long cid, double intensity) {
 }
 
 /* ------------------------------------------------------------------ */
-/* the fused core event (C twin of CoreSim._on_core_event_batched)     */
+/* the core event (C twin of CoreSim._on_core_event and its callees)   */
 /* ------------------------------------------------------------------ */
-
-/* Delegate the whole event to the Python twin before any mutation
- * (used for configurations the C path does not replicate). */
-static int fused_delegate(PyObject *core, PyObject *gen_obj) {
-    PyObject *r = PyObject_CallFunctionObjArgs(S.fused, core, gen_obj, NULL);
-    if (r == NULL) return -1;
-    Py_DECREF(r);
-    return 0;
-}
 
 /* Returns 0 on success, -1 with a Python error set.  ``now`` is the
  * event time (== engine.now), ``t_obj`` the live int object for it.
- * ``engine_d`` is the engine's instance dict, owned by the caller. */
-static int fused_core_event(PyObject *core, PyObject *gen_obj,
-                            PyObject *engine, PyObject *engine_d,
-                            PyObject *buckets, PyObject *times,
-                            PyObject *t_obj, long long now) {
+ * ``engine_d`` is the engine's instance dict and ``heap`` its
+ * ``_heap`` list, both owned by the caller. */
+static int core_event(PyObject *core, PyObject *gen_obj, PyObject *engine,
+                      PyObject *engine_d, PyObject *heap, PyObject *t_obj,
+                      long long now) {
     long long gen = PyLong_AsLongLong(gen_obj);
     if (gen == -1 && PyErr_Occurred()) return -1;
 
@@ -589,27 +547,29 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
         return 0;
     }
 
-    /* non-CFS slice policies keep the Python twin (rare configs) */
-    PyObject *params = dget(core_d, core, S.n_params);
-    if (params == NULL) {
-        Py_DECREF(task);
-        Py_DECREF(core_d);
-        return -1;
-    }
-    if ((PyObject *)Py_TYPE(params) != S.CfsParams) {
-        Py_DECREF(params);
-        Py_DECREF(task);
-        Py_DECREF(core_d);
-        stat_delegated++;
-        return fused_delegate(core, gen_obj);
-    }
-
-    PyObject *system = NULL, *rq = NULL, *stats = NULL;
-    PyObject *prev = NULL;
-    PyObject *mem_busy = NULL, *mem_epoch = NULL, *load_epoch = NULL;
-    PyObject *task_d = NULL, *prev_d = NULL;
-    PyObject *system_d = NULL, *rq_d = NULL, *stats_d = NULL;
+    PyObject *params = NULL, *system = NULL, *rq = NULL, *stats = NULL;
+    PyObject *mem_busy = NULL, *task_d = NULL, *system_d = NULL;
+    PyObject *rq_d = NULL, *stats_d = NULL;
     int rc = -1;
+
+    /* cores this twin does not replicate -- a non-CFS slice policy or
+     * the O(1) run queue -- run the Python method instead (it repeats
+     * the gen/current checks above, which is harmless) */
+    params = dget(core_d, core, S.n_params);
+    if (params == NULL) goto done;
+    rq = dget(core_d, core, S.n_rq);
+    if (rq == NULL) goto done;
+    if ((PyObject *)Py_TYPE(params) != S.CfsParams ||
+        (PyObject *)Py_TYPE(rq) != S.CfsRunQueue) {
+        stat_delegated++;
+        PyObject *r =
+            PyObject_CallFunctionObjArgs(S.core_event, core, gen_obj, NULL);
+        if (r != NULL) {
+            Py_DECREF(r);
+            rc = 0;
+        }
+        goto done;
+    }
 
     task_d = idict(task);
     if (task_d == NULL) goto done;
@@ -617,25 +577,19 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
     if (system == NULL) goto done;
     system_d = idict(system);
     if (system_d == NULL) goto done;
-    rq = dget(core_d, core, S.n_rq);
-    if (rq == NULL) goto done;
     rq_d = idict(rq);
     if (rq_d == NULL) goto done;
     stats = dget(core_d, core, S.n_stats);
     if (stats == NULL) goto done;
     stats_d = idict(stats);
     if (stats_d == NULL) goto done;
-    load_epoch = dget(core_d, core, S.n__load_epoch);
-    if (load_epoch == NULL) goto done;
     mem_busy = dget(core_d, core, S.n__mem_busy);
     if (mem_busy == NULL) goto done;
-    mem_epoch = dget(core_d, core, S.n__mem_epoch);
-    if (mem_epoch == NULL) goto done;
 
     long long cid;
     if (dget_ll(core_d, core, S.n_cid, &cid) < 0) goto done;
 
-    /* ---- inline _charge_current ---------------------------------- */
+    /* ---- _charge_current ----------------------------------------- */
     long long dsa;
     if (dget_ll(core_d, core, S.n_dispatch_started_at, &dsa) < 0) goto done;
     long long dt = now - dsa;
@@ -696,7 +650,7 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
                     if (e0 < floor_v) floor_v = e0;
                     break;
                 }
-                PyObject *dead = heappop_c(heap_, lt_entry);
+                PyObject *dead = heappop_c(heap_);
                 if (dead == NULL) { scan_fail = 1; break; }
                 Py_DECREF(dead);
             }
@@ -773,7 +727,7 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
         Py_DECREF(observers);
     }
 
-    /* ---- inline _on_core_event's wait/work bookkeeping ----------- */
+    /* ---- _on_core_event's wait/work bookkeeping ------------------ */
     {
         PyObject *waiting_on = dget(task_d, task, S.n_waiting_on);
         if (waiting_on == NULL) goto done;
@@ -789,10 +743,9 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
                 }
                 if (now >= dl) {
                     /* rare: KMP_BLOCKTIME expired -- the same sequence
-                     * of shared slow helpers the Python twin calls */
+                     * of slow helpers the Python method calls */
                     Py_DECREF(deadline);
-                    if (dset(core_d, S.n_current, Py_None) < 0 ||
-                        cell_add(load_epoch, 1) < 0) {
+                    if (dset(core_d, S.n_current, Py_None) < 0) {
                         Py_DECREF(waiting_on);
                         goto done;
                     }
@@ -862,7 +815,7 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
                         mv = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(mentry, 0));
                         break;
                     }
-                    PyObject *dead = heappop_c(mheap, lt_entry);
+                    PyObject *dead = heappop_c(mheap);
                     if (dead == NULL) { scan_fail = 1; break; }
                     Py_DECREF(dead);
                 }
@@ -899,7 +852,7 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
         Py_DECREF(waiting_on);
     }
 
-    /* ---- inline _redispatch -------------------------------------- */
+    /* ---- _redispatch --------------------------------------------- */
     int fast_path;
     {
         long long rq_count;
@@ -937,8 +890,6 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
         }
     }
 
-    int off_pending = 0;
-
     if (fast_path) {
         /* lone-task fast path: the queue round trip is an identity */
         if (dset(task_d, S.n_last_descheduled_at, t_obj) < 0 ||
@@ -947,20 +898,17 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
             dadd_ll(stats_d, stats, S.n_dispatches, 1) < 0)
             goto done;
     } else {
-        /* ---- inline _put_back_current ---------------------------- */
+        /* ---- _put_back_current ----------------------------------- */
         if (dset(core_d, S.n_current, Py_None) < 0) goto done;
-        prev = task; /* alias; prev's ref is task's ref */
-        Py_INCREF(prev);
-        prev_d = task_d;
-        Py_INCREF(prev_d);
         {
+            /* _mem_note_off(task) */
             int track = dtrue(core_d, core, S.n__mem_track);
             if (track < 0) goto done;
             if (track) {
                 double mi;
-                if (dget_dbl(prev_d, prev, S.n_mem_intensity, &mi) < 0)
+                if (dget_dbl(task_d, task, S.n_mem_intensity, &mi) < 0)
                     goto done;
-                off_pending = (mi > 0.0);
+                if (mi > 0.0 && mem_remove(mem_busy, cid) < 0) goto done;
             }
         }
         if (dset(task_d, S.n_last_descheduled_at, t_obj) < 0 ||
@@ -977,14 +925,14 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
                 int throttled = dtrue(task_d, task, S.n_throttled);
                 if (throttled < 0) goto done;
                 if (throttled) {
-                    if (cell_add(load_epoch, 1) < 0) goto done;
                     PyObject *parked = dget(core_d, core, S.n_throttled);
                     if (parked == NULL) goto done;
                     int arc = PyList_Append(parked, task);
                     Py_DECREF(parked);
                     if (arc < 0) goto done;
                 } else {
-                    /* inline rq.push(task): requeue is load-neutral */
+                    /* inline rq.push(task): the running task is never
+                     * already queued, so push's guard is vacuous */
                     double vruntime;
                     long long weight;
                     if (dget_dbl(task_d, task, S.n_vruntime, &vruntime) < 0 ||
@@ -1009,7 +957,7 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
                     if (!push_fail)
                         push_fail = (PyDict_SetItem(live, tid, entry) < 0);
                     if (!push_fail)
-                        push_fail = (heappush_c(heap_, entry, lt_entry) < 0);
+                        push_fail = (heappush_c(heap_, entry) < 0);
                     if (!push_fail) {
                         PyObject *neg_vr = PyFloat_FromDouble(-vruntime);
                         PyObject *neg_cnt =
@@ -1022,8 +970,7 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
                         if (mentry == NULL) {
                             push_fail = 1;
                         } else {
-                            push_fail =
-                                (heappush_c(mheap, mentry, lt_entry) < 0);
+                            push_fail = (heappush_c(mheap, mentry) < 0);
                             Py_DECREF(mentry);
                         }
                     }
@@ -1037,12 +984,13 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
                         dadd_ll(rq_d, rq, S.n_count, 1) < 0)
                         goto done;
                 }
-            } else {
-                if (cell_add(load_epoch, 1) < 0) goto done;
             }
         }
 
-        /* ---- inline _dispatch_next (cancel folded in) ------------ */
+        /* ---- _dispatch_next, with _cancel_event folded in: the
+         * pending event is the one firing now, already popped, so
+         * clearing the slot and bumping the generation is all the
+         * cancel can observably do */
         if (dset(core_d, S.n__event, Py_None) < 0 ||
             dadd_ll(core_d, core, S.n__gen, 1) < 0 ||
             dset(core_d, S.n__in_resched, Py_True) < 0)
@@ -1064,7 +1012,7 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
             Py_CLEAR(task);
             Py_CLEAR(task_d);
             while (PyList_GET_SIZE(heap_) > 0) {
-                PyObject *entry = heappop_c(heap_, lt_entry);
+                PyObject *entry = heappop_c(heap_);
                 if (entry == NULL) { loop_fail = 1; break; }
                 PyObject *cand = PyTuple_GET_ITEM(entry, 2);
                 PyObject *tid = aget(cand, S.n_tid);
@@ -1117,14 +1065,6 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
             if (loop_fail) break;
 
             if (task == NULL) {
-                if (off_pending) { /* flush before readers can look */
-                    off_pending = 0;
-                    if (mem_remove(mem_busy, cid) < 0 ||
-                        cell_add(mem_epoch, 1) < 0) {
-                        loop_fail = 1;
-                        break;
-                    }
-                }
                 PyObject *r =
                     PyObject_CallMethodObjArgs(core, S.n__go_idle, NULL);
                 if (r == NULL) { loop_fail = 1; break; }
@@ -1146,8 +1086,7 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
             {
                 int throttled = dtrue(task_d, task, S.n_throttled);
                 if (throttled < 0) { loop_fail = 1; break; }
-                if (throttled) {
-                    if (cell_add(load_epoch, 1) < 0) { loop_fail = 1; break; }
+                if (throttled) { /* parked off the queue */
                     PyObject *parked = dget(core_d, core, S.n_throttled);
                     if (parked == NULL) { loop_fail = 1; break; }
                     int arc = PyList_Append(parked, task);
@@ -1178,14 +1117,6 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
                 }
                 if (ready) break; /* _prepare's immediate-True cases */
             }
-            if (off_pending) { /* flush before readers can look */
-                off_pending = 0;
-                if (mem_remove(mem_busy, cid) < 0 ||
-                    cell_add(mem_epoch, 1) < 0) {
-                    loop_fail = 1;
-                    break;
-                }
-            }
             {
                 PyObject *r = PyObject_CallMethodObjArgs(
                     core, S.n__prepare, task, NULL);
@@ -1195,38 +1126,26 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
                 if (prepared < 0) { loop_fail = 1; break; }
                 if (prepared) break;
             }
-            /* slept or exited during prepare: load really dropped */
-            if (cell_add(load_epoch, 1) < 0) { loop_fail = 1; break; }
+            /* slept or exited during prepare: pick again */
         }
-        /* the Python twin's try/finally */
+        /* the Python method's try/finally */
         if (dset(core_d, S.n__in_resched, Py_False) < 0) goto done;
         if (loop_fail) goto done;
 
-        /* ---- inline _start (sans the shared schedule tail) ------- */
+        /* ---- _start (sans the schedule tail shared below) -------- */
         if (dset(task_d, S.n_state, S.st_running) < 0 ||
             dset_ll(task_d, S.n_cur_core, cid) < 0 ||
             dset(core_d, S.n_current, task) < 0)
             goto done;
         {
-            double ti = 0.0, pi = 0.0;
-            if (dget_dbl(task_d, task, S.n_mem_intensity, &ti) < 0 ||
-                dget_dbl(prev_d, prev, S.n_mem_intensity, &pi) < 0)
-                goto done;
-            if (off_pending && ti == pi) {
-                /* identity remove+insort of the same pair: elided */
-            } else {
-                if (off_pending) {
-                    if (mem_remove(mem_busy, cid) < 0 ||
-                        cell_add(mem_epoch, 1) < 0)
-                        goto done;
-                }
-                int track = dtrue(core_d, core, S.n__mem_track);
-                if (track < 0) goto done;
-                if (track && ti > 0.0) {
-                    if (mem_insort(mem_busy, cid, ti) < 0 ||
-                        cell_add(mem_epoch, 1) < 0)
-                        goto done;
-                }
+            /* _mem_note_on(task) */
+            int track = dtrue(core_d, core, S.n__mem_track);
+            if (track < 0) goto done;
+            if (track) {
+                double mi;
+                if (dget_dbl(task_d, task, S.n_mem_intensity, &mi) < 0)
+                    goto done;
+                if (mi > 0.0 && mem_insort(mem_busy, cid, mi) < 0) goto done;
             }
         }
         if (dset(core_d, S.n_dispatch_started_at, t_obj) < 0 ||
@@ -1234,7 +1153,7 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
             goto done;
     }
 
-    /* ---- inline effective_rate ----------------------------------- */
+    /* ---- effective_rate ------------------------------------------ */
     double rate;
     {
         if (dget_dbl(core_d, core, S.n__clock_factor, &rate) < 0) goto done;
@@ -1319,29 +1238,12 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
         int track = dtrue(core_d, core, S.n__mem_track);
         if (track < 0) goto done;
         if (track && mi > 0.0) {
-            long long co_epoch, scope_epoch;
-            PyObject *cell = PyList_GetItem(mem_epoch, 0); /* borrowed */
-            if (cell == NULL) goto done;
-            scope_epoch = PyLong_AsLongLong(cell);
-            if (scope_epoch == -1 && PyErr_Occurred()) goto done;
-            if (dget_ll(core_d, core, S.n__co_epoch, &co_epoch) < 0)
-                goto done;
-            double co;
-            if (co_epoch == scope_epoch) {
-                if (dget_dbl(core_d, core, S.n__co_sum, &co) < 0) goto done;
-            } else {
-                co = 0.0;
-                Py_ssize_t n = PyList_GET_SIZE(mem_busy);
-                for (Py_ssize_t i = 0; i < n; i++) {
-                    PyObject *e = PyList_GET_ITEM(mem_busy, i);
-                    long long c =
-                        PyLong_AsLongLong(PyTuple_GET_ITEM(e, 0));
-                    if (c != cid)
-                        co += PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(e, 1));
-                }
-                if (dset_ll(core_d, S.n__co_epoch, scope_epoch) < 0 ||
-                    dset_dbl(core_d, S.n__co_sum, co) < 0)
-                    goto done;
+            double co = 0.0;
+            Py_ssize_t n = PyList_GET_SIZE(mem_busy);
+            for (Py_ssize_t i = 0; i < n; i++) {
+                PyObject *e = PyList_GET_ITEM(mem_busy, i);
+                long long c = PyLong_AsLongLong(PyTuple_GET_ITEM(e, 0));
+                if (c != cid) co += PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(e, 1));
             }
             double alpha;
             if (dget_dbl(core_d, core, S.n__mem_alpha, &alpha) < 0)
@@ -1351,7 +1253,7 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
         if (dset_dbl(core_d, S.n__rate_at_dispatch, rate) < 0) goto done;
     }
 
-    /* ---- inline _run_duration ------------------------------------ */
+    /* ---- _run_duration ------------------------------------------- */
     long long run_for;
     {
         long long rq_count, weight, rq_weight;
@@ -1438,77 +1340,37 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
         Py_DECREF(waiting_on);
     }
 
-    /* ---- inline BatchedEngine.schedule (the shared tail) --------- */
+    /* ---- the schedule tail of _start / _redispatch:
+     * self._gen += 1; self._event = engine.schedule(max(run_for, 1),
+     * self._on_core_event, self._event_label, self._gen) */
     {
         long long gen2;
         if (dget_ll(core_d, core, S.n__gen, &gen2) < 0) goto done;
         gen2 += 1;
         if (dset_ll(core_d, S.n__gen, gen2) < 0) goto done;
+        long long seq_ll;
+        if (dget_ll(engine_d, engine, S.n__seq, &seq_ll) < 0) goto done;
         long long delay = (run_for > 1) ? run_for : 1;
         PyObject *ev_time = PyLong_FromLongLong(now + delay);
-        if (ev_time == NULL) goto done;
-        long long seq_ll;
-        if (dget_ll(engine_d, engine, S.n__seq, &seq_ll) < 0) {
-            Py_DECREF(ev_time);
-            goto done;
-        }
-        PyObject *oce = dget(core_d, core, S.n__oce);
-        PyObject *lbl = oce ? dget(core_d, core, S.n__event_label) : NULL;
+        PyObject *cb = ev_time ? PyMethod_New(S.core_event, core) : NULL;
+        PyObject *lbl = cb ? dget(core_d, core, S.n__event_label) : NULL;
         PyObject *gen2_obj = lbl ? PyLong_FromLongLong(gen2) : NULL;
-        PyObject *ev = NULL;
+        PyObject *ev = NULL, *entry = NULL;
         if (gen2_obj != NULL)
-            ev = event_new(ev_time, seq_ll, oce, lbl, engine, gen2_obj);
-        Py_XDECREF(oce);
+            ev = event_new(ev_time, seq_ll, cb, lbl, engine, gen2_obj);
+        if (ev != NULL)
+            entry = PyTuple_Pack(3, ev_time, EV_SLOT(ev, EV_SEQ), ev);
+        Py_XDECREF(ev_time);
+        Py_XDECREF(cb);
         Py_XDECREF(lbl);
         Py_XDECREF(gen2_obj);
-        if (ev == NULL) { Py_DECREF(ev_time); goto done; }
-        if (dset_ll(engine_d, S.n__seq, seq_ll + 1) < 0) {
-            Py_DECREF(ev);
-            Py_DECREF(ev_time);
-            goto done;
-        }
-        PyObject *bucket = PyDict_GetItemWithError(buckets, ev_time);
-        if (bucket == NULL) {
-            if (PyErr_Occurred()) {
-                Py_DECREF(ev);
-                Py_DECREF(ev_time);
-                goto done;
-            }
-            PyObject *tup = PyTuple_Pack(1, ev);
-            PyObject *dq =
-                tup ? PyObject_CallFunctionObjArgs(S.deque_type, tup, NULL)
-                    : NULL;
-            Py_XDECREF(tup);
-            if (dq == NULL) {
-                Py_DECREF(ev);
-                Py_DECREF(ev_time);
-                goto done;
-            }
-            int drc = PyDict_SetItem(buckets, ev_time, dq);
-            Py_DECREF(dq);
-            if (drc < 0 || heappush_c(times, ev_time, lt_time) < 0) {
-                Py_DECREF(ev);
-                Py_DECREF(ev_time);
-                goto done;
-            }
-        } else {
-            PyObject *r =
-                PyObject_CallMethodObjArgs(bucket, S.n_append, ev, NULL);
-            if (r == NULL) {
-                Py_DECREF(ev);
-                Py_DECREF(ev_time);
-                goto done;
-            }
-            Py_DECREF(r);
-        }
-        Py_DECREF(ev_time);
-        if (dadd_ll(engine_d, engine, S.n__size, 1) < 0) {
-            Py_DECREF(ev);
-            goto done;
-        }
-        int erc = dset(core_d, S.n__event, ev);
-        Py_DECREF(ev);
-        if (erc < 0) goto done;
+        int erc = (entry == NULL ||
+                   dset_ll(engine_d, S.n__seq, seq_ll + 1) < 0 ||
+                   heappush_c(heap, entry) < 0 ||
+                   dset(core_d, S.n__event, ev) < 0);
+        Py_XDECREF(entry);
+        Py_XDECREF(ev);
+        if (erc) goto done;
     }
     {
         int smt_active = dtrue(core_d, core, S.n__smt_active);
@@ -1523,29 +1385,23 @@ static int fused_core_event(PyObject *core, PyObject *gen_obj,
 
     rc = 0;
 done:
-    Py_XDECREF(prev_d);
     Py_XDECREF(task_d);
     Py_XDECREF(system_d);
     Py_XDECREF(rq_d);
     Py_XDECREF(stats_d);
-    Py_XDECREF(prev);
     Py_XDECREF(task);
     Py_XDECREF(params);
     Py_XDECREF(system);
     Py_XDECREF(rq);
     Py_XDECREF(stats);
-    Py_XDECREF(load_epoch);
     Py_XDECREF(mem_busy);
-    Py_XDECREF(mem_epoch);
     Py_DECREF(core_d);
     return rc;
 }
 
 /* ------------------------------------------------------------------ */
-/* the drain loop (C twin of BatchedEngine._drain, single=False)       */
+/* the drain loop (C twin of Engine._drain, single=False)              */
 /* ------------------------------------------------------------------ */
-
-static Py_ssize_t dq_len(PyObject *bucket) { return PyObject_Length(bucket); }
 
 /* returns 1 if at least one event dispatched, 0 if none, -1 on error */
 long long repro_drain(PyObject *engine, PyObject *until_obj) {
@@ -1556,274 +1412,135 @@ long long repro_drain(PyObject *engine, PyObject *until_obj) {
     }
     PyObject *engine_d = idict(engine);
     if (engine_d == NULL) return -1;
-    PyObject *buckets = dget(engine_d, engine, S.n__buckets);
-    if (buckets == NULL) { Py_DECREF(engine_d); return -1; }
-    PyObject *times = dget(engine_d, engine, S.n__times);
-    PyObject *observers = times ? dget(engine_d, engine, S.n_observers) : NULL;
-    if (observers == NULL) {
-        Py_DECREF(buckets);
-        Py_XDECREF(times);
-        Py_DECREF(engine_d);
-        return -1;
-    }
-    long long limit;
-    if (dget_ll(engine_d, engine, S.n_max_events, &limit) < 0) {
-        Py_DECREF(buckets);
-        Py_DECREF(times);
-        Py_DECREF(observers);
-        Py_DECREF(engine_d);
-        return -1;
-    }
+    PyObject *heap = dget(engine_d, engine, S.n__heap);
+    PyObject *observers = heap ? dget(engine_d, engine, S.n_observers) : NULL;
+    long long dispatched_any = -1; /* the return value; -1 until done */
+    long long limit, until = 0;
+    if (observers == NULL ||
+        dget_ll(engine_d, engine, S.n_max_events, &limit) < 0)
+        goto out;
     int have_until = (until_obj != Py_None);
-    long long until = 0;
     if (have_until) {
         until = PyLong_AsLongLong(until_obj);
-        if (until == -1 && PyErr_Occurred()) goto fail;
+        if (until == -1 && PyErr_Occurred()) goto out;
     }
-    long long dispatched_any = 0;
+    if (!PyList_CheckExact(heap) || !PyList_CheckExact(observers)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "engine _heap and observers must be lists");
+        goto out;
+    }
+    long long any = 0;
     unsigned long long event_tick = 0;
 
-    while (PyList_GET_SIZE(times) > 0) {
-        PyObject *t_obj = PyList_GET_ITEM(times, 0); /* borrowed */
-        Py_INCREF(t_obj);
-        PyObject *bucket = PyDict_GetItemWithError(buckets, t_obj);
-        if (bucket == NULL) {
-            if (PyErr_Occurred()) { Py_DECREF(t_obj); goto fail; }
-            /* stale time left behind by a compaction */
-            PyObject *dead = heappop_c(times, lt_time);
-            Py_DECREF(t_obj);
-            if (dead == NULL) goto fail;
-            Py_DECREF(dead);
+    while (PyList_GET_SIZE(heap) > 0) {
+        int stop = dtrue(engine_d, engine, S.n__stop_requested);
+        if (stop < 0) goto out;
+        if (stop) break;
+        PyObject *top = PyList_GET_ITEM(heap, 0); /* borrowed */
+        if (!PyTuple_CheckExact(top) || PyTuple_GET_SIZE(top) != 3) {
+            PyErr_SetString(PyExc_TypeError,
+                            "engine heap entries must be (time, seq, event)");
+            goto out;
+        }
+        int cancelled =
+            ev_true(PyTuple_GET_ITEM(top, 2), EV_CANCELLED, S.n_cancelled);
+        if (cancelled < 0) goto out;
+        if (!cancelled && have_until) {
+            long long t = PyLong_AsLongLong(PyTuple_GET_ITEM(top, 0));
+            if (t == -1 && PyErr_Occurred()) goto out;
+            if (t > until) break;
+        }
+        /* pop; the entry keeps the event and its time alive */
+        PyObject *entry = heappop_c(heap);
+        if (entry == NULL) goto out;
+        PyObject *t_obj = PyTuple_GET_ITEM(entry, 0);
+        PyObject *ev = PyTuple_GET_ITEM(entry, 2);
+        if (ev_write(ev, EV_IN_HEAP, S.n_in_heap, Py_False) < 0) goto entry_fail;
+        if (cancelled) {
+            /* lazy deletion; forged engine-less events were never
+             * counted */
+            PyObject *owner = ev_read(ev, EV_ENGINE, S.n_engine);
+            if (owner == NULL) goto entry_fail;
+            int counted = (owner != Py_None);
+            Py_DECREF(owner);
+            if (counted && dadd_ll(engine_d, engine, S.n__cancelled, -1) < 0)
+                goto entry_fail;
+            Py_DECREF(entry);
             continue;
         }
-        Py_INCREF(bucket);
-        /* one bound-method lookup per bucket, not one per event */
-        PyObject *popleft_m = PyObject_GetAttr(bucket, S.n_popleft);
-        if (popleft_m == NULL) {
-            Py_DECREF(bucket);
-            Py_DECREF(t_obj);
-            goto fail;
+        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(observers); i++) {
+            PyObject *obs = PyList_GET_ITEM(observers, i);
+            Py_INCREF(obs);
+            PyObject *r = PyObject_CallOneArg(obs, ev);
+            Py_DECREF(obs);
+            if (r == NULL) goto entry_fail;
+            Py_DECREF(r);
         }
         long long t = PyLong_AsLongLong(t_obj);
-        if (t == -1 && PyErr_Occurred()) goto bucket_fail;
-
-        if (have_until && t > until) {
-            /* mirror the heap loop: purge leading cancelled entries
-             * past ``until`` so ``pending`` agrees between backends */
-            for (;;) {
-                Py_ssize_t blen = dq_len(bucket);
-                if (blen < 0) goto bucket_fail;
-                if (blen == 0) break;
-                PyObject *ev0 = PySequence_GetItem(bucket, 0);
-                if (ev0 == NULL) goto bucket_fail;
-                int cancelled = ev_true(ev0, EV_CANCELLED, S.n_cancelled);
-                if (cancelled < 0) { Py_DECREF(ev0); goto bucket_fail; }
-                if (!cancelled) { Py_DECREF(ev0); break; }
-                PyObject *popped = PyObject_CallNoArgs(popleft_m);
-                Py_DECREF(ev0);
-                if (popped == NULL) goto bucket_fail;
-                if (ev_write(popped, EV_IN_HEAP, S.n_in_heap, Py_False) < 0 ||
-                    dadd_ll(engine_d, engine, S.n__cancelled, -1) < 0 ||
-                    dadd_ll(engine_d, engine, S.n__size, -1) < 0) {
-                    Py_DECREF(popped);
-                    goto bucket_fail;
-                }
-                Py_DECREF(popped);
-            }
-            Py_ssize_t blen = dq_len(bucket);
-            if (blen < 0) goto bucket_fail;
-            if (blen > 0) {
-                Py_DECREF(popleft_m);
-                Py_DECREF(bucket);
-                Py_DECREF(t_obj);
-                break; /* next live event is past until */
-            }
-            if (PyDict_DelItem(buckets, t_obj) < 0) goto bucket_fail;
-            PyObject *dead = heappop_c(times, lt_time);
-            Py_DECREF(popleft_m);
-            Py_DECREF(bucket);
-            Py_DECREF(t_obj);
-            if (dead == NULL) goto fail;
-            Py_DECREF(dead);
-            continue;
+        long long engine_now;
+        if ((t == -1 && PyErr_Occurred()) ||
+            dget_ll(engine_d, engine, S.n_now, &engine_now) < 0)
+            goto entry_fail;
+        if (t < engine_now) { /* defensive, mirrors Python */
+            PyErr_SetString(S.SimulationError,
+                            "event queue time went backwards");
+            goto entry_fail;
         }
-
-        /* Python runs observers and then writes ``now = t`` ahead of
-         * every live dispatch; within one bucket the written value
-         * never changes, so with no observers registered at bucket
-         * entry the write (and the backwards-time guard) hoists to
-         * the first live dispatch of the bucket.  With observers the
-         * per-event order (observers first, then the write) is
-         * observable and the per-event path is kept.  An observer
-         * registered by a callback mid-bucket sees ``now == t``
-         * either way. */
-        int per_event_now = (PyList_GET_SIZE(observers) > 0);
-        int now_written = 0;
-
-        /* drain the bucket front-first; callbacks may append events
-         * for the current instant and the length re-check picks them
-         * up in seq order, exactly as the heap would */
-        for (;;) {
-            Py_ssize_t blen = dq_len(bucket);
-            if (blen < 0) goto bucket_fail;
-            if (blen == 0) break;
-            {
-                int stop = dtrue(engine_d, engine, S.n__stop_requested);
-                if (stop < 0) goto bucket_fail;
-                if (stop) {
-                    Py_DECREF(popleft_m);
-                    Py_DECREF(bucket);
-                    Py_DECREF(t_obj);
-                    goto out;
-                }
+        if (dset(engine_d, S.n_now, t_obj) < 0) goto entry_fail;
+        long long d;
+        if (dget_ll(engine_d, engine, S.n__dispatched, &d) < 0 ||
+            dset_ll(engine_d, S.n__dispatched, d + 1) < 0)
+            goto entry_fail;
+        if (d + 1 > limit) {
+            PyObject *lbl = ev_read(ev, EV_LABEL, S.n_label);
+            if (lbl != NULL) {
+                PyErr_Format(S.SimulationError,
+                             "event limit exceeded (%lld); likely "
+                             "livelock near t=%lld (last: %R)",
+                             limit, t, lbl);
+                Py_DECREF(lbl);
             }
-            PyObject *ev = PyObject_CallNoArgs(popleft_m);
-            if (ev == NULL) goto bucket_fail;
-            if (ev_write(ev, EV_IN_HEAP, S.n_in_heap, Py_False) < 0 ||
-                dadd_ll(engine_d, engine, S.n__size, -1) < 0) {
-                Py_DECREF(ev);
-                goto bucket_fail;
-            }
-            {
-                int cancelled = ev_true(ev, EV_CANCELLED, S.n_cancelled);
-                if (cancelled < 0) { Py_DECREF(ev); goto bucket_fail; }
-                if (cancelled) {
-                    if (dadd_ll(engine_d, engine, S.n__cancelled, -1) < 0) {
-                        Py_DECREF(ev);
-                        goto bucket_fail;
-                    }
-                    Py_DECREF(ev);
-                    continue;
-                }
-            }
-            if (PyList_GET_SIZE(observers) > 0) {
-                int obs_fail = 0;
-                for (Py_ssize_t i = 0; i < PyList_GET_SIZE(observers); i++) {
-                    PyObject *obs = PyList_GET_ITEM(observers, i);
-                    Py_INCREF(obs);
-                    PyObject *r = PyObject_CallOneArg(obs, ev);
-                    Py_DECREF(obs);
-                    if (r == NULL) { obs_fail = 1; break; }
-                    Py_DECREF(r);
-                }
-                if (obs_fail) { Py_DECREF(ev); goto bucket_fail; }
-            }
-            if (per_event_now || !now_written) {
-                long long engine_now;
-                if (dget_ll(engine_d, engine, S.n_now, &engine_now) < 0) {
-                    Py_DECREF(ev);
-                    goto bucket_fail;
-                }
-                if (t < engine_now) { /* defensive, mirrors Python */
-                    PyErr_SetString(S.SimulationError,
-                                    "event queue time went backwards");
-                    Py_DECREF(ev);
-                    goto bucket_fail;
-                }
-                if (dset(engine_d, S.n_now, t_obj) < 0) {
-                    Py_DECREF(ev);
-                    goto bucket_fail;
-                }
-                now_written = 1;
-            }
-            {
-                long long d;
-                if (dget_ll(engine_d, engine, S.n__dispatched, &d) < 0) {
-                    Py_DECREF(ev);
-                    goto bucket_fail;
-                }
-                d += 1;
-                if (dset_ll(engine_d, S.n__dispatched, d) < 0) {
-                    Py_DECREF(ev);
-                    goto bucket_fail;
-                }
-                if (d > limit) {
-                    PyObject *lbl = ev_read(ev, EV_LABEL, S.n_label);
-                    if (lbl != NULL) {
-                        PyErr_Format(S.SimulationError,
-                                     "event limit exceeded (%lld); likely "
-                                     "livelock near t=%lld (last: %R)",
-                                     limit, t, lbl);
-                        Py_DECREF(lbl);
-                    }
-                    Py_DECREF(ev);
-                    goto bucket_fail;
-                }
-            }
-            /* dispatch: the fused core event runs in C, everything
-             * else through the ordinary Python call */
-            {
-                PyObject *cb = ev_read(ev, EV_CALLBACK, S.n_callback);
-                if (cb == NULL) { Py_DECREF(ev); goto bucket_fail; }
-                PyObject *payload = ev_read(ev, EV_PAYLOAD, S.n_payload);
-                if (payload == NULL) {
-                    Py_DECREF(cb);
-                    Py_DECREF(ev);
-                    goto bucket_fail;
-                }
-                int ok;
-                if (payload != Py_None && PyMethod_Check(cb) &&
-                    PyMethod_GET_FUNCTION(cb) == S.fused) {
-                    stat_fused++;
-                    ok = (fused_core_event(PyMethod_GET_SELF(cb), payload,
-                                           engine, engine_d, buckets, times,
-                                           t_obj, t) == 0);
-                } else {
-                    stat_generic++;
-                    PyObject *r = (payload == Py_None)
-                                      ? PyObject_CallNoArgs(cb)
-                                      : PyObject_CallOneArg(cb, payload);
-                    ok = (r != NULL);
-                    Py_XDECREF(r);
-                }
-                Py_DECREF(payload);
-                Py_DECREF(cb);
-                if (!ok) { Py_DECREF(ev); goto bucket_fail; }
-            }
-            Py_DECREF(ev);
-            dispatched_any = 1;
-            if (((++event_tick) & 4095) == 0 && PyErr_CheckSignals() < 0)
-                goto bucket_fail;
-            continue;
-
-        bucket_fail:
-            Py_DECREF(popleft_m);
-            Py_DECREF(bucket);
-            Py_DECREF(t_obj);
-            goto fail;
+            goto entry_fail;
         }
+        /* dispatch: the core event runs in C, everything else through
+         * the ordinary Python call */
+        PyObject *cb = ev_read(ev, EV_CALLBACK, S.n_callback);
+        PyObject *payload = cb ? ev_read(ev, EV_PAYLOAD, S.n_payload) : NULL;
+        int ok = 0;
+        if (payload != NULL) {
+            if (payload != Py_None && PyMethod_Check(cb) &&
+                PyMethod_GET_FUNCTION(cb) == S.core_event) {
+                stat_fused++;
+                ok = (core_event(PyMethod_GET_SELF(cb), payload, engine,
+                                 engine_d, heap, t_obj, t) == 0);
+            } else {
+                stat_generic++;
+                PyObject *r = (payload == Py_None)
+                                  ? PyObject_CallNoArgs(cb)
+                                  : PyObject_CallOneArg(cb, payload);
+                ok = (r != NULL);
+                Py_XDECREF(r);
+            }
+        }
+        Py_XDECREF(payload);
+        Py_XDECREF(cb);
+        if (!ok) goto entry_fail;
+        Py_DECREF(entry);
+        any = 1;
+        if (((++event_tick) & 4095) == 0 && PyErr_CheckSignals() < 0) goto out;
+        continue;
 
-        /* bucket exhausted: callbacks cannot have created a smaller
-         * time nor re-pushed t, so times[0] is still t */
-        if (PyDict_DelItem(buckets, t_obj) < 0) {
-            Py_DECREF(popleft_m);
-            Py_DECREF(bucket);
-            Py_DECREF(t_obj);
-            goto fail;
-        }
-        {
-            PyObject *dead = heappop_c(times, lt_time);
-            Py_DECREF(popleft_m);
-            Py_DECREF(bucket);
-            Py_DECREF(t_obj);
-            if (dead == NULL) goto fail;
-            Py_DECREF(dead);
-        }
+    entry_fail:
+        Py_DECREF(entry);
+        goto out;
     }
+    dispatched_any = any;
 
 out:
-    Py_DECREF(buckets);
-    Py_DECREF(times);
-    Py_DECREF(observers);
+    Py_XDECREF(heap);
+    Py_XDECREF(observers);
     Py_DECREF(engine_d);
     return dispatched_any;
-
-fail:
-    Py_DECREF(buckets);
-    Py_DECREF(times);
-    Py_DECREF(observers);
-    Py_DECREF(engine_d);
-    return -1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1832,10 +1549,11 @@ fail:
 
 /* the binding module checks this against its expected value so a stale
  * cached artifact from an older source revision is never used */
-long long repro_native_abi(void) { return 1; }
+long long repro_native_abi(void) { return 2; }
 
-/* dispatch-path counters: 0 = fused-in-C, 1 = generic Python call,
- * 2 = delegated to the Python fused twin; anything else = -1 */
+/* dispatch-path counters: 0 = core event run in C, 1 = generic
+ * Python call, 2 = core event handed back to CoreSim._on_core_event;
+ * anything else = -1 */
 long long repro_native_stat(long long which) {
     switch (which) {
     case 0: return stat_fused;
@@ -1892,13 +1610,13 @@ long long repro_native_init(PyObject *support) {
 #undef X
     if ((S.SimulationError = take(support, "SimulationError")) == NULL ||
         (S.EventClass = take(support, "Event")) == NULL ||
-        (S.fused = take(support, "fused")) == NULL ||
+        (S.core_event = take(support, "core_event")) == NULL ||
         (S.CfsParams = take(support, "CfsParams")) == NULL ||
+        (S.CfsRunQueue = take(support, "CfsRunQueue")) == NULL ||
         (S.st_running = take(support, "RUNNING")) == NULL ||
         (S.st_runnable = take(support, "RUNNABLE")) == NULL ||
         (S.wm_yield = take(support, "YIELD")) == NULL ||
-        (S.entry_counter = take(support, "entry_counter")) == NULL ||
-        (S.deque_type = take(support, "deque")) == NULL)
+        (S.entry_counter = take(support, "entry_counter")) == NULL)
         return -1;
     if (resolve_ev_slots() < 0) return -1;
     PyObject *eps = PyDict_GetItemString(support, "WORK_EPS");

@@ -3,7 +3,7 @@
 :class:`HeapEngine` is :class:`~repro.sim.engine.Engine` -- a binary
 heap of ``(time, seq, event)`` triples with lazy cancellation.  The
 subclass exists so the backend registry can address it symmetrically
-with :class:`~repro.sim.backends.batched.BatchedEngine` and so
+with :class:`~repro.sim.backends.native.NativeEngine` and so
 ``type(engine)`` names the selected backend in debugging output; it
 adds no behaviour.
 """

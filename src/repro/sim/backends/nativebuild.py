@@ -20,8 +20,8 @@ sat inside the event loop.
 When no C compiler is available the backend is *unavailable*, not
 broken: :func:`load_native_lib` raises :class:`NativeUnavailableError`
 with an actionable message, ``backend_available("native")`` returns
-False, and the pure-Python backends remain the reference and the
-fallback.  Nothing in this module runs at import time.
+False, and the heap backend remains the reference and the fallback.
+Nothing in this module runs at import time.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ __all__ = [
 #: bumped together with the C side's ``repro_native_abi`` whenever the
 #: exported interface changes; a cached artifact with the wrong ABI is
 #: discarded and rebuilt rather than trusted
-_ABI_VERSION = 1
+_ABI_VERSION = 2
 
 _SOURCE = Path(__file__).resolve().parent / "_native" / "engine_core.c"
 
@@ -62,8 +62,8 @@ _loaded: dict[str, ctypes.PyDLL] = {}
 class NativeUnavailableError(RuntimeError):
     """The native backend cannot be used on this machine.
 
-    Raised when no C compiler is found or the one found cannot build
-    the engine core.  Callers that can fall back (tests, benches with
+    Raised when no C compiler is found, the one found cannot build the
+    engine core, or the artifact cache cannot be written.  Callers that can fall back (tests, benches with
     ``--engine`` sweeps) should catch this and skip; the CLI surfaces
     the message as-is, which names the fix.
     """
@@ -107,13 +107,19 @@ def _source_digest() -> str:
 
 def _compile(cc: str, out_path: Path) -> None:
     include_dir = sysconfig.get_paths()["include"]
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     # build to a temp name and os.replace so concurrent processes (the
     # sweep worker pool) race benignly: last writer wins, every reader
     # sees a complete artifact
-    fd, tmp_name = tempfile.mkstemp(
-        suffix=".so", prefix=out_path.stem + ".", dir=str(out_path.parent)
-    )
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(
+            suffix=".so", prefix=out_path.stem + ".", dir=str(out_path.parent)
+        )
+    except OSError as exc:
+        raise NativeUnavailableError(
+            f"cannot write the native engine core cache {out_path.parent} "
+            f"({exc}); point REPRO_NATIVE_CACHE at a writable directory"
+        ) from exc
     os.close(fd)
     cmd = [
         cc,
@@ -136,47 +142,65 @@ def _compile(cc: str, out_path: Path) -> None:
                 f"(exit {proc.returncode}):\n" + "\n".join(tail)
             )
         os.replace(tmp_name, out_path)
+    except OSError as exc:
+        raise NativeUnavailableError(
+            f"failed to build the native engine core into {out_path}: {exc}"
+        ) from exc
     finally:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
 
 
 def _bind(path: Path) -> ctypes.PyDLL:
+    """Load ``path`` and check its ABI.
+
+    Raises :class:`NativeUnavailableError` when the file is not a
+    loadable library (corrupt or truncated bytes) or was built for
+    another ABI revision; the caller treats both as a bad cache entry.
+    """
     # PyDLL: the library calls the CPython C-API, so the GIL stays held
     # and a set error flag raises after each call
-    lib = ctypes.PyDLL(str(path))
-    lib.repro_native_abi.restype = ctypes.c_longlong
-    lib.repro_native_abi.argtypes = []
-    lib.repro_native_init.restype = ctypes.c_longlong
-    lib.repro_native_init.argtypes = [ctypes.py_object]
-    lib.repro_drain.restype = ctypes.c_longlong
-    lib.repro_drain.argtypes = [ctypes.py_object, ctypes.py_object]
-    lib.repro_native_stat.restype = ctypes.c_longlong
-    lib.repro_native_stat.argtypes = [ctypes.c_longlong]
+    try:
+        lib = ctypes.PyDLL(str(path))
+        lib.repro_native_abi.restype = ctypes.c_longlong
+        lib.repro_native_abi.argtypes = []
+        lib.repro_native_init.restype = ctypes.c_longlong
+        lib.repro_native_init.argtypes = [ctypes.py_object]
+        lib.repro_drain.restype = ctypes.c_longlong
+        lib.repro_drain.argtypes = [ctypes.py_object, ctypes.py_object]
+        lib.repro_native_stat.restype = ctypes.c_longlong
+        lib.repro_native_stat.argtypes = [ctypes.c_longlong]
+    except (OSError, AttributeError) as exc:
+        raise NativeUnavailableError(
+            f"failed to load native engine core {path}: {exc}"
+        ) from exc
+    abi = lib.repro_native_abi()
+    if abi != _ABI_VERSION:
+        raise NativeUnavailableError(
+            f"native engine core {path} has ABI {abi}, want {_ABI_VERSION}"
+        )
     return lib
 
 
 def _support_dict() -> dict:
     # imported here, not at module top: repro.sched.core must not be a
     # hard import dependency of the backends package
-    from collections import deque
-
     from repro.sched.core import _WORK_EPS, CoreSim
     from repro.sched.cfs import CfsParams
-    from repro.sched.runqueue import _entry_counter
+    from repro.sched.runqueue import CfsRunQueue, _entry_counter
     from repro.sched.task import NICE_0_WEIGHT, TaskState, WaitMode
     from repro.sim.engine import Event, SimulationError
 
     return {
         "SimulationError": SimulationError,
         "Event": Event,
-        "fused": CoreSim._on_core_event_batched,
+        "core_event": CoreSim._on_core_event,
         "CfsParams": CfsParams,
+        "CfsRunQueue": CfsRunQueue,
         "RUNNING": TaskState.RUNNING,
         "RUNNABLE": TaskState.RUNNABLE,
         "YIELD": WaitMode.YIELD,
         "entry_counter": _entry_counter,
-        "deque": deque,
         "WORK_EPS": float(_WORK_EPS),
         "NICE_0_WEIGHT": float(NICE_0_WEIGHT),
     }
@@ -193,39 +217,29 @@ def load_native_lib() -> ctypes.PyDLL:
     if lib is not None:
         return lib
     artifact = native_cache_dir() / f"engine_core-{digest}.so"
-    if not artifact.exists():
+    bound: Optional[ctypes.PyDLL] = None
+    if artifact.exists():
+        try:
+            bound = _bind(artifact)
+        except NativeUnavailableError:
+            # corrupt bytes or a stale ABI: discard and rebuild once
+            try:
+                artifact.unlink(missing_ok=True)
+            except OSError as exc:
+                raise NativeUnavailableError(
+                    f"cannot replace the unusable native engine core "
+                    f"{artifact}: {exc}"
+                ) from exc
+    if bound is None:
         cc = _find_compiler()
         if cc is None:
             raise NativeUnavailableError(
                 "the 'native' engine backend needs a C compiler ($CC, cc, "
                 "gcc or clang on PATH) and none was found; install one or "
-                "select --engine heap or --engine batched"
-            )
-        _compile(cc, artifact)
-    try:
-        bound = _bind(artifact)
-        abi = bound.repro_native_abi()
-    except OSError as exc:
-        raise NativeUnavailableError(
-            f"failed to load native engine core {artifact}: {exc}"
-        ) from exc
-    if abi != _ABI_VERSION:
-        # stale artifact from an older source revision: rebuild once
-        artifact.unlink(missing_ok=True)
-        cc = _find_compiler()
-        if cc is None:
-            raise NativeUnavailableError(
-                "cached native engine core has a stale ABI and no C "
-                "compiler is available to rebuild it"
+                "select --engine heap"
             )
         _compile(cc, artifact)
         bound = _bind(artifact)
-        abi = bound.repro_native_abi()
-        if abi != _ABI_VERSION:  # pragma: no cover - defensive
-            raise NativeUnavailableError(
-                f"native engine core ABI mismatch (got {abi}, "
-                f"want {_ABI_VERSION})"
-            )
     if bound.repro_native_init(_support_dict()) != 0:  # pragma: no cover
         raise NativeUnavailableError("native engine core failed to initialise")
     # a dlopen-handle memo, not simulation state: handles survive fork,
@@ -238,11 +252,12 @@ def load_native_lib() -> ctypes.PyDLL:
 def native_stats() -> dict[str, int]:
     """Process-lifetime dispatch counters from the C core.
 
-    ``fused`` counts events that ran through the compiled CFS twin,
-    ``generic`` events dispatched via an ordinary Python call, and
-    ``delegated`` fused events handed back to the Python twin (non-CFS
-    slice policies).  Used by tests to prove the fast path is actually
-    exercised rather than silently falling back.
+    ``fused`` counts core events that ran through the compiled CFS
+    twin, ``generic`` events dispatched via an ordinary Python call,
+    and ``delegated`` core events handed back to
+    :meth:`CoreSim._on_core_event` (cores whose slice policy is not
+    :class:`~repro.sched.cfs.CfsParams`).  Used by tests to prove the
+    fast path is actually exercised rather than silently falling back.
     """
     lib = load_native_lib()
     return {

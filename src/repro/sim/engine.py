@@ -139,13 +139,6 @@ class Engine:
     [10]
     """
 
-    #: True on backends that drain same-time events as one batch (see
-    #: :mod:`repro.sim.backends`).  The scheduling layers read this to
-    #: arm their batch-aware memoization fast paths; the heap engine
-    #: keeps them off so the default path stays byte-for-byte the code
-    #: that produced every historical baseline.
-    batching: bool = False
-
     def __init__(self, max_events: int = 200_000_000) -> None:
         self.now: int = 0
         #: (time, seq, event) triples: seq is unique, so heap comparisons

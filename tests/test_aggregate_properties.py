@@ -177,9 +177,9 @@ GOLDEN_RUN_DIGESTS = {
 class TestScenarioDigestParity:
     """Every scenario smoke reproduces its pre-overhaul run digest.
 
-    Parametrized over every event-dispatch backend: the batched engine
+    Parametrized over every event-dispatch backend: the native engine
     must hit the same goldens as the heap, which is the digest wall the
-    batching fast paths live behind.
+    compiled dispatch chain lives behind.
     """
 
     def test_goldens_cover_every_smoke(self):

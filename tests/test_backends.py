@@ -1,12 +1,12 @@
 """The pluggable event-dispatch backends (repro.sim.backends).
 
-The batched calendar-queue backend claims bit-identical behaviour to
-the heap engine.  The scenario golden digests enforce that end to end;
-these tests pin the per-primitive semantics the claim rests on --
-same-time FIFO order, lazy cancellation, ``until``/``stop``/``step``
-edge cases, compaction -- plus a randomized differential harness that
-drives both backends through identical schedule/cancel churn and
-compares every observable.
+The compiled ``native`` backend claims bit-identical behaviour to the
+``heap`` reference.  The scenario golden digests enforce that end to
+end; these tests pin the per-primitive drain semantics the claim rests
+on -- same-instant FIFO order, lazy cancellation, ``until``/``stop``/
+``step`` edge cases, compaction -- on both backends, plus a randomized
+differential harness that drives both through identical
+schedule/cancel churn and compares every observable.
 """
 
 import gc
@@ -16,7 +16,6 @@ import pytest
 
 from repro.sim.backends import (
     ENGINE_BACKENDS,
-    BatchedEngine,
     HeapEngine,
     NativeEngine,
     backend_available,
@@ -33,11 +32,10 @@ needs_native = pytest.mark.skipif(
 
 class TestRegistry:
     def test_backend_names_default_first(self):
-        assert backend_names() == ("heap", "batched", "native")
+        assert backend_names() == ("heap", "native")
 
     def test_make_engine_types(self):
         assert type(make_engine("heap")) is HeapEngine
-        assert type(make_engine("batched")) is BatchedEngine
 
     @needs_native
     def test_make_engine_native_type(self):
@@ -46,17 +44,13 @@ class TestRegistry:
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown engine backend"):
             make_engine("btree")
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            make_engine("batched")  # the removed calendar-queue backend
 
     def test_backend_available(self):
         assert backend_available("heap")
-        assert backend_available("batched")
+        assert not backend_available("batched")
         assert not backend_available("btree")
-
-    def test_batching_flags(self):
-        # the heap default must keep the memo fast paths disarmed
-        assert HeapEngine.batching is False
-        assert Engine.batching is False
-        assert BatchedEngine.batching is True
 
     def test_all_backends_are_engines(self):
         for cls in ENGINE_BACKENDS.values():
@@ -64,8 +58,21 @@ class TestRegistry:
 
 
 class TestBatchedSemantics:
+    """Drain semantics of same-instant event batches, on the heap.
+
+    A "batch" is every event queued for one simulated instant.  Each
+    case builds its engine through :attr:`backend`, so
+    :class:`TestNativeBatchedSemantics` reruns the whole class against
+    the compiled drain loop.
+    """
+
+    backend = "heap"
+
+    def make(self, **kwargs):
+        return make_engine(self.backend, **kwargs)
+
     def test_same_time_events_fire_in_seq_order(self):
-        eng = make_engine("batched")
+        eng = self.make()
         fired = []
         for i in range(5):
             eng.schedule(10, lambda i=i: fired.append(i))
@@ -74,7 +81,7 @@ class TestBatchedSemantics:
         assert fired == ["early", 0, 1, 2, 3, 4]
 
     def test_callback_scheduling_at_now_extends_the_batch(self):
-        eng = make_engine("batched")
+        eng = self.make()
         fired = []
 
         def first():
@@ -89,7 +96,7 @@ class TestBatchedSemantics:
         assert fired == ["first", "second", "appended"]
 
     def test_schedule_in_past_raises(self):
-        eng = make_engine("batched")
+        eng = self.make()
         with pytest.raises(SimulationError):
             eng.schedule(-1, lambda: None)
         eng.schedule(5, lambda: None)
@@ -98,7 +105,7 @@ class TestBatchedSemantics:
             eng.schedule_at(4, lambda: None)
 
     def test_cancel_is_lazy_and_pending_is_exact(self):
-        eng = make_engine("batched")
+        eng = self.make()
         fired = []
         events = [eng.schedule(7, lambda i=i: fired.append(i)) for i in range(4)]
         assert eng.pending == 4
@@ -112,7 +119,7 @@ class TestBatchedSemantics:
         assert eng.dispatched == 2
 
     def test_compaction_preserves_order_and_counts(self):
-        eng = make_engine("batched")
+        eng = self.make()
         fired = []
         keep = []
         cancelled = []
@@ -131,15 +138,33 @@ class TestBatchedSemantics:
         assert fired == expected
 
     def test_peek_time_skips_cancelled(self):
-        eng = make_engine("batched")
+        eng = self.make()
         early = eng.schedule(2, lambda: None)
         eng.schedule(9, lambda: None)
         assert eng.peek_time() == 2
         early.cancel()
         assert eng.peek_time() == 9
 
+    def test_until_purges_leading_cancelled_events(self):
+        eng = self.make()
+        fired = []
+        eng.schedule(5, lambda: fired.append(5))
+        doomed = [eng.schedule(40, lambda: None) for _ in range(3)]
+        late = eng.schedule(50, lambda: fired.append(50))
+        for ev in doomed:
+            ev.cancel()
+        eng.run(until=10)
+        # cancelled entries leading the queue past ``until`` are purged
+        # before the loop stops; the live one behind them stays queued
+        assert fired == [5]
+        assert eng.now == 10
+        assert eng.pending == 1
+        assert not any(ev.in_heap for ev in doomed)
+        assert late.in_heap
+        assert eng.peek_time() == 50
+
     def test_run_until_advances_clock_between_buckets(self):
-        eng = make_engine("batched")
+        eng = self.make()
         fired = []
         eng.schedule(5, lambda: fired.append(5))
         eng.schedule(20, lambda: fired.append(20))
@@ -150,7 +175,7 @@ class TestBatchedSemantics:
         assert fired == [5, 20]
 
     def test_stop_mid_batch_leaves_rest_of_bucket(self):
-        eng = make_engine("batched")
+        eng = self.make()
         fired = []
         eng.schedule(4, lambda: fired.append("a"))
         eng.schedule(4, eng.stop)
@@ -161,7 +186,7 @@ class TestBatchedSemantics:
         assert fired == ["a", "b"]
 
     def test_step_dispatches_exactly_one(self):
-        eng = make_engine("batched")
+        eng = self.make()
         fired = []
         eng.schedule(1, lambda: fired.append("x"))
         eng.schedule(1, lambda: fired.append("y"))
@@ -172,7 +197,7 @@ class TestBatchedSemantics:
         assert fired == ["x", "y"]
 
     def test_max_events_limit(self):
-        eng = make_engine("batched", max_events=10)
+        eng = self.make(max_events=10)
 
         def forever():
             eng.schedule(1, forever)
@@ -183,11 +208,11 @@ class TestBatchedSemantics:
 
     def test_gc_restored_after_run_and_after_raise(self):
         assert gc.isenabled()
-        eng = make_engine("batched")
+        eng = self.make()
         eng.schedule(1, lambda: None)
         eng.run()
         assert gc.isenabled()
-        eng2 = make_engine("batched", max_events=1)
+        eng2 = self.make(max_events=1)
         eng2.schedule(0, lambda: eng2.schedule(1, lambda: None))
         eng2.schedule(2, lambda: None)
         with pytest.raises(SimulationError):
@@ -195,7 +220,7 @@ class TestBatchedSemantics:
         assert gc.isenabled()
 
     def test_observers_see_every_live_event(self):
-        eng = make_engine("batched")
+        eng = self.make()
         seen = []
         eng.observers.append(lambda ev: seen.append(ev.label))
         eng.schedule(1, lambda: None, label="a")
@@ -204,6 +229,13 @@ class TestBatchedSemantics:
         dead.cancel()
         eng.run()
         assert seen == ["a", "b"]
+
+
+@needs_native
+class TestNativeBatchedSemantics(TestBatchedSemantics):
+    """Every same-instant drain case again, on the compiled loop."""
+
+    backend = "native"
 
 
 def _churn(eng, seed, n=400):
@@ -237,16 +269,6 @@ def _churn(eng, seed, n=400):
 
 
 class TestDifferentialParity:
-    @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_heap_and_batched_agree_under_churn(self, seed):
-        heap_eng = make_engine("heap")
-        batched_eng = make_engine("batched")
-        a = _churn(heap_eng, seed)
-        b = _churn(batched_eng, seed)
-        assert a == b
-        assert heap_eng.fingerprint() == batched_eng.fingerprint()
-        assert heap_eng.pending == batched_eng.pending
-
     @needs_native
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_heap_and_native_agree_under_churn(self, seed):
@@ -380,3 +402,79 @@ class TestNativeBackend:
         dead.cancel()
         eng.run()
         assert seen == ["a", "b"]
+
+    @needs_native
+    def test_gc_disabled_during_run_and_restored(self):
+        eng = make_engine("native")
+        seen = []
+        eng.schedule(1, lambda: seen.append(gc.isenabled()))
+        eng.run()
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @needs_native
+    def test_non_cfs_params_are_delegated_and_match_heap(self):
+        # a CFS core given O(1) slice params: the C twin only replicates
+        # CfsParams slice math, so it hands each core event back to
+        # CoreSim._on_core_event -- a path no scenario smoke takes
+        from repro.analysis.sanitizer import run_digest
+        from repro.apps.workloads import AppSpec
+        from repro.harness.experiment import run_app
+        from repro.sched.cfs import O1Params
+        from repro.sim.backends.nativebuild import native_stats
+        from repro.topology import presets
+
+        app = AppSpec(bench="ep.C", n_threads=3, total_compute_us=60_000)
+
+        def digest(engine):
+            result, system = run_app(
+                presets.tigerton, app, balancer="load", cores=2, seed=1,
+                cfs_params=O1Params(), trace=True, return_system=True,
+                engine=engine,
+            )
+            assert system.scheduler == "cfs"
+            return run_digest(result, system.trace, system.engine)
+
+        heap = digest("heap")
+        before = native_stats()
+        native = digest("native")
+        after = native_stats()
+        assert after["delegated"] > before["delegated"]
+        assert native == heap
+
+    def test_unusable_cache_dir_is_unavailable_not_an_oserror(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.sim.backends import NativeUnavailableError, nativebuild
+
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("a regular file")
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(blocker / "x"))
+        monkeypatch.setattr(nativebuild, "_loaded", {})
+        # reach the cache write whether or not this host has a compiler
+        monkeypatch.setattr(nativebuild, "_find_compiler", lambda: "cc")
+        with pytest.raises(NativeUnavailableError, match="REPRO_NATIVE_CACHE"):
+            nativebuild.load_native_lib()
+        assert backend_available("native") is False
+
+    @needs_native
+    def test_corrupt_artifact_is_rebuilt(self, monkeypatch, tmp_path):
+        from repro.sim.backends import NativeUnavailableError, nativebuild
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setattr(nativebuild, "_loaded", {})
+        artifact = tmp_path / f"engine_core-{nativebuild._source_digest()}.so"
+        garbage = b"\x00not an ELF object\xff" * 64
+        # without a compiler the bad entry is dropped and reported
+        artifact.write_bytes(garbage)
+        monkeypatch.setattr(nativebuild, "_find_compiler", lambda: None)
+        with pytest.raises(NativeUnavailableError, match="C compiler"):
+            nativebuild.load_native_lib()
+        assert not artifact.exists()
+        # with one, the same bad entry is rebuilt in place
+        artifact.write_bytes(garbage)
+        monkeypatch.undo()
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setattr(nativebuild, "_loaded", {})
+        assert backend_available("native") is True
+        assert artifact.read_bytes() != garbage

@@ -174,13 +174,13 @@ class TestBenchComparePair:
 
     def test_speedup_table_and_exit_zero(self, tmp_path, capsys):
         a = self.write(tmp_path, "heapref", 2.5, engine="heap")
-        b = self.write(tmp_path, "batched", 1.0, engine="batched")
+        b = self.write(tmp_path, "nativeref", 1.0, engine="native")
         rc = self.run_cli("--compare", a, b)
         out = capsys.readouterr().out
         assert rc == 0
         assert "speedup" in out
         assert "2.5" in out  # 2.5s -> 1.0s is a 2.5x speedup
-        assert "heapref" in out and "batched" in out
+        assert "heapref" in out and "nativeref" in out
 
     def test_regression_beyond_threshold_fails(self, tmp_path, capsys):
         a = self.write(tmp_path, "ref", 1.0)
@@ -230,12 +230,17 @@ class TestBenchComparePair:
 class TestBenchEngineFlag:
     def test_payload_records_engine(self, tmp_path):
         from repro.cli import main
+        from repro.sim.backends import backend_available
 
-        rc = main(["bench", "--rounds", "1", "--quick", "--engine", "batched",
+        # a non-default engine, so the payload field cannot pass by
+        # merely echoing the default
+        if not backend_available("native"):
+            pytest.skip("native backend unavailable (no C toolchain)")
+        rc = main(["bench", "--rounds", "1", "--quick", "--engine", "native",
                    "--out", str(tmp_path), "--label", "b"])
         assert rc == 0
         payload = bench.load_payload(tmp_path / "BENCH_b.json")
-        assert payload["engine"] == "batched"
+        assert payload["engine"] == "native"
 
     def test_unknown_engine_rejected(self):
         from repro.cli import build_parser

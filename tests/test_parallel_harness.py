@@ -100,6 +100,12 @@ class TestRunSpec:
         spec = RunSpec.make("tigerton", SPEC, cores=(0, 1), seed=1)
         assert pickle.loads(pickle.dumps(spec)) == spec
 
+    @pytest.mark.parametrize("engine", ["batched", "batchd", "Heap"])
+    def test_make_rejects_unknown_engine(self, engine):
+        # rejected when the spec is built, not later inside a worker
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            RunSpec.make("tigerton", SPEC, engine=engine)
+
 
 def uniform8_machine():
     return presets.uniform(8)

@@ -32,6 +32,7 @@ from repro.analysis.sanitizer import (
     trace_digest,
 )
 from repro.harness.scenarios import scenario_smokes
+from repro.sim.backends import backend_available
 from repro.metrics.trace import TraceRecorder
 from repro.topology import presets
 from repro.topology.machine import DomainLevel
@@ -292,17 +293,39 @@ def test_workers_leg_serial_vs_parallel():
     assert differential_check("balance-interval", legs=("workers",)) == []
 
 
-def test_engines_leg_heap_vs_batched():
-    # the calendar-queue backend must reproduce the heap's run digest
-    # bit for bit (events, trace and engine fingerprint)
+needs_native = pytest.mark.skipif(
+    not backend_available("native"),
+    reason="native backend unavailable (no C toolchain)",
+)
+
+
+@needs_native
+def test_engines_leg_heap_vs_native():
+    # the compiled backend must reproduce the heap's run digest bit for
+    # bit (events, trace and engine fingerprint)
     assert differential_check("balance-interval", legs=("engines",)) == []
 
 
+def test_engines_leg_reports_skip_without_native(monkeypatch):
+    import repro.sim.backends as backends
+
+    monkeypatch.setattr(
+        backends, "backend_available", lambda name: name == "heap"
+    )
+    findings = differential_check("balance-interval", legs=("engines",))
+    # not a vacuous pass: one warning naming the missing backend
+    assert [(f.code, f.severity) for f in findings] == [("SAN008", "warning")]
+    assert "skipped" in findings[0].message
+    assert "native" in findings[0].message
+    assert findings[0].context == "balance-interval[heap-vs-native]"
+
+
+@needs_native
 def test_scenario_digest_engine_parity_and_perturbation():
     heap = scenario_digest("balance-interval", engine="heap")
-    assert heap == scenario_digest("balance-interval", engine="batched")
+    assert heap == scenario_digest("balance-interval", engine="native")
     # the digest still discriminates real behaviour changes
-    assert heap != scenario_digest("balance-interval", seed=1, engine="batched")
+    assert heap != scenario_digest("balance-interval", seed=1, engine="native")
 
 
 def test_unknown_leg_rejected():

@@ -50,7 +50,7 @@ class TestSpecCodec:
             balancer="speed",
             cores=(0, 2, 4),
             seed=11,
-            engine="batched",
+            engine="native",
             speed_config=SpeedBalancerConfig(),
         )
         wire = json.loads(json.dumps(spec_to_wire(spec)))

@@ -271,6 +271,26 @@ class TestBackpressure:
         finally:
             bg.drain()
 
+    def test_unknown_engine_rejected_with_400(self, tmp_path):
+        from repro.serve.protocol import spec_to_wire
+
+        bg = _boot(tmp_path, workers=1, runner=_counting_runner)
+        try:
+            client = ServeClient(bg.base_url)
+            wire = spec_to_wire(_spec())
+            wire["engine"] = "batched"
+            with pytest.raises(ServeError) as err:
+                client.submit_wires([wire])
+            assert err.value.status == 400
+            assert "unknown engine backend" in str(err.value)
+            # the rejection admitted nothing and ran nothing
+            snap = client.metrics()
+            assert snap["submitted"] == 0 and snap["admitted"] == 0
+            assert snap["tenants"].get("default", {}).get("queue_depth", 0) == 0
+            assert _RUN_LOG == []
+        finally:
+            bg.drain()
+
 
 class TestFairness:
     def test_three_tenant_overload_no_starvation(self, tmp_path):
