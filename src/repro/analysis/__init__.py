@@ -18,12 +18,17 @@ the artifacts both are judged from:
 
 * :mod:`repro.analysis.lint` -- an AST-based determinism linter
   (``python -m repro.analysis lint src/repro``) with rules SIM001..
-  SIM006, per-line suppression comments and a per-rule allowlist file;
+  SIM007;
 * :mod:`repro.analysis.flow` -- a whole-program flow analyzer
   (``python -m repro.analysis flow``) that builds a name-resolved call
   graph and runs an interprocedural taint fixpoint, closing the SIM
-  rules' cross-function blind spots (rules FLOW001..FLOW005, with a
-  committed strict-ratchet findings baseline);
+  rules' cross-function blind spots (rules FLOW001..FLOW005);
+* :mod:`repro.analysis.kernel` -- a compiled-kernel readiness analyzer
+  (``python -m repro.analysis kernel``, rules KERN001..KERN008) on the
+  same solved flow program;
+* :mod:`repro.analysis.driver` -- what the three static analyzers
+  share: one finding type, suppression comments, allowlists, the
+  strict-ratchet findings baseline, the report formats and the CLI;
 * :mod:`repro.analysis.invariants` -- an opt-in runtime
   :class:`~repro.analysis.invariants.InvariantChecker` hooked into
   :class:`~repro.sim.engine.Engine` and :class:`~repro.system.System`
@@ -38,46 +43,8 @@ the artifacts both are judged from:
   comparing canonical digests (SAN008).
 
 See ``docs/analysis.md`` for the rule catalogues.
+
+Submodules are imported on use: the package itself loads nothing, so
+the store's digest path (:mod:`repro.analysis.sanitizer`) does not pay
+for the static analyzers.
 """
-
-from __future__ import annotations
-
-from repro.analysis.invariants import (
-    InvariantConfig,
-    InvariantChecker,
-    InvariantViolation,
-    install_invariant_checker,
-)
-from repro.analysis.flow import FLOW_RULES, FlowFinding, FlowRule, flow_paths
-from repro.analysis.lint import Finding, LintRule, lint_paths, lint_source
-from repro.analysis.sanitizer import (
-    SAN_RULES,
-    PullPolicy,
-    SanFinding,
-    analyze_trace,
-    run_digest,
-    sanitize_system,
-    trace_digest,
-)
-
-__all__ = [
-    "Finding",
-    "LintRule",
-    "lint_paths",
-    "lint_source",
-    "FLOW_RULES",
-    "FlowFinding",
-    "FlowRule",
-    "flow_paths",
-    "InvariantConfig",
-    "InvariantChecker",
-    "InvariantViolation",
-    "install_invariant_checker",
-    "SAN_RULES",
-    "SanFinding",
-    "PullPolicy",
-    "analyze_trace",
-    "sanitize_system",
-    "trace_digest",
-    "run_digest",
-]

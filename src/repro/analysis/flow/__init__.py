@@ -8,101 +8,76 @@ per-file linter cannot see (``t = engine.now; helper(t)`` where the
 float division happens inside ``helper``).
 
 Layering: ``modules`` (parse + name) -> ``callgraph`` (program index)
--> ``summaries`` (taint fixpoint) -> ``rules``/``baseline``/``cli``
-(reporting).  Suppressions and allowlists reuse the shared
-:mod:`repro.analysis.suppress` conventions, so ``# sim-lint:
-ignore[FLOW004]`` works exactly like its SIM counterpart.
+-> ``summaries`` (taint fixpoint) -> ``rules`` (catalogue).  The
+solved :class:`~repro.analysis.flow.summaries.FlowAnalysis` is also
+what the kernel analyzer runs on; :mod:`repro.analysis.driver` solves
+it once per invocation and does the suppression, allowlist, baseline
+and reporting for both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis import suppress
+from repro.analysis.driver import Analyzer, Finding, Report, filter_findings
 from repro.analysis.flow.callgraph import build_index
 from repro.analysis.flow.modules import load_modules
-from repro.analysis.flow.rules import FLOW_RULES, FlowFinding, FlowRule
+from repro.analysis.flow.rules import FLOW_RULES
 from repro.analysis.flow.summaries import FlowAnalysis
 
 __all__ = [
+    "ANALYZER",
     "FLOW_RULES",
-    "FlowRule",
-    "FlowFinding",
-    "FlowReport",
     "DEFAULT_ALLOWLIST",
     "DEFAULT_BASELINE",
-    "analyze_paths",
+    "solve",
     "flow_paths",
-    "flow_source",
 ]
 
 #: shipped zero-entry allowlist, next to the linter's
 DEFAULT_ALLOWLIST = Path(__file__).resolve().parent.parent / "flow_allowlist.txt"
-#: committed findings baseline (strict ratchet; see ``flow.baseline``)
+#: committed findings baseline (strict ratchet; see ``repro.analysis.driver``)
 DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / "flow_baseline.txt"
 
 
-@dataclass
-class FlowReport:
-    """The outcome of one whole-program analysis."""
-
-    findings: list[FlowFinding]
-    errors: list[tuple[str, int, int, str]]  # unparseable files
-    modules: int
-    functions: int
-    rounds: int  # fixpoint rounds until convergence
-
-
-def analyze_paths(
-    paths: Iterable[str | Path],
-    allowlist: Sequence[tuple[str, str]] = (),
-) -> FlowReport:
-    """Run the full pipeline over every ``*.py`` under ``paths``."""
-    modules = load_modules(paths)
-    program = build_index(modules)
-    analysis = FlowAnalysis(program)
+def solve(paths: Iterable[str | Path]) -> FlowAnalysis:
+    """Parse every ``*.py`` under ``paths``, index it and solve the fixpoint."""
+    analysis = FlowAnalysis(build_index(load_modules(paths)))
     analysis.solve()
-    raw = analysis.report()
+    return analysis
 
-    by_path = {str(m.path): m for m in modules}
-    findings: list[FlowFinding] = []
-    for f in raw:
-        module = by_path.get(f.path)
-        if module is not None:
-            if suppress.has_skip_file(module.source):
-                continue
-            if suppress.is_suppressed(f.rule, f.line, module.lines):
-                continue
-        if suppress.allowlisted(f.rule, f.path, allowlist):
-            continue
-        findings.append(f)
-    return FlowReport(
-        findings=findings,
+
+def _report(analysis: FlowAnalysis, allowlist: Sequence[tuple[str, str]]) -> Report:
+    modules = analysis.program.modules
+    sources = {str(m.path): m.source for m in modules}
+    return Report(
+        findings=filter_findings(analysis.report(), sources, allowlist),
         errors=list(modules.errors),
-        modules=len(modules),
-        functions=len(program.functions),
-        rounds=analysis.rounds,
+        summary=(
+            f"across {len(modules)} module(s), {len(analysis.program.functions)} "
+            f"function(s), {analysis.rounds} fixpoint round(s)"
+        ),
     )
 
 
 def flow_paths(
     paths: Iterable[str | Path],
     allowlist: Sequence[tuple[str, str]] = (),
-) -> list[FlowFinding]:
+) -> list[Finding]:
     """Findings for ``paths`` (the test-friendly entry point)."""
-    return analyze_paths(paths, allowlist).findings
+    return _report(solve(paths), allowlist).findings
 
 
-def flow_source(tree_files: dict[str, str], root: Path) -> list[FlowFinding]:
-    """Analyze an in-memory file tree materialized under ``root``.
-
-    Test helper: writes ``relative-path -> source`` pairs below
-    ``root`` (creating packages as given) and analyzes the tree.
-    """
-    for rel, source in tree_files.items():
-        target = root / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(source)
-    return flow_paths([root])
+ANALYZER = Analyzer(
+    name="flow",
+    title="flow analyzer",
+    description=(
+        "Whole-program determinism flow analyzer: call graph + taint "
+        "fixpoint over the repro source tree (FLOW rules)."
+    ),
+    rules=FLOW_RULES,
+    allowlist=DEFAULT_ALLOWLIST,
+    baseline=DEFAULT_BASELINE,
+    analyze=lambda workspace, allowlist: _report(workspace.flow(), allowlist),
+)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
+from repro.analysis.driver import iter_files
+
 __all__ = ["SourceModule", "ModuleIndex", "module_name_for", "load_modules"]
 
 
@@ -56,15 +58,6 @@ def module_name_for(path: Path) -> str:
     return ".".join(parts) or path.stem
 
 
-def _iter_files(paths: Iterable[str | Path]) -> Iterator[Path]:
-    for p in paths:
-        p = Path(p)
-        if p.is_dir():
-            yield from sorted(p.rglob("*.py"))
-        else:
-            yield p
-
-
 class ModuleIndex:
     """Name -> parsed module, plus the parse failures as findings fuel."""
 
@@ -92,7 +85,7 @@ class ModuleIndex:
 def load_modules(paths: Iterable[str | Path]) -> ModuleIndex:
     """Parse every ``*.py`` under ``paths`` into a :class:`ModuleIndex`."""
     index = ModuleIndex()
-    for f in _iter_files(paths):
+    for f in iter_files(paths):
         source = f.read_text()
         try:
             tree = ast.parse(source, filename=str(f))

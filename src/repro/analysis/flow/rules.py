@@ -1,4 +1,4 @@
-"""The FLOW rule catalogue and finding type.
+"""The FLOW rule catalogue.
 
 Each FLOW rule is the *interprocedural* closure of a blind spot in the
 per-file SIM linter: the same determinism property, enforced across
@@ -41,66 +41,32 @@ FLOW005  A lambda, closure or local function flows into
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.analysis.driver import Rule
 
-__all__ = ["FlowRule", "FLOW_RULES", "FlowFinding"]
+__all__ = ["FLOW_RULES"]
 
-
-@dataclass(frozen=True)
-class FlowRule:
-    """One rule of the FLOW catalogue."""
-
-    id: str
-    summary: str
-
-
-FLOW_RULES: dict[str, FlowRule] = {
+FLOW_RULES: dict[str, Rule] = {
     r.id: r
     for r in (
-        FlowRule(
+        Rule(
             "FLOW001",
             "float arithmetic reaching an engine timestamp across call boundaries",
         ),
-        FlowRule(
+        Rule(
             "FLOW002",
             "global/unseeded randomness flowing into a scheduling decision",
         ),
-        FlowRule(
+        Rule(
             "FLOW003",
             "unordered set escaping into iteration in a decision module",
         ),
-        FlowRule(
+        Rule(
             "FLOW004",
             "module-level mutable state written on a hot or worker path",
         ),
-        FlowRule(
+        Rule(
             "FLOW005",
             "lambda/closure flowing into store spec-key construction",
         ),
     )
 }
-
-
-@dataclass(frozen=True)
-class FlowFinding:
-    """One interprocedural determinism violation."""
-
-    path: str
-    line: int
-    col: int
-    rule: str
-    message: str
-    function: str  # qualified name of the function containing the sink
-
-    def format(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    def as_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-            "function": self.function,
-        }

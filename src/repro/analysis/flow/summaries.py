@@ -37,6 +37,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.analysis.driver import Finding
 from repro.analysis.flow.callgraph import (
     FunctionInfo,
     GlobalVar,
@@ -44,7 +45,6 @@ from repro.analysis.flow.callgraph import (
     ProgramIndex,
     Target,
 )
-from repro.analysis.flow.rules import FlowFinding
 
 __all__ = [
     "TS",
@@ -207,7 +207,7 @@ class FlowAnalysis:
         self.summaries: dict[str, Summary] = {}
         #: class qual -> attribute -> taints (monotone across the fixpoint)
         self.attr_taints: dict[str, dict[str, Taints]] = {}
-        self.findings: list[FlowFinding] = []
+        self.findings: list[Finding] = []
         self._seen: set = set()
         self._attrs_changed = False
         self.rounds = 0
@@ -229,7 +229,7 @@ class FlowAnalysis:
             if not changed and not self._attrs_changed:
                 break
 
-    def report(self) -> list[FlowFinding]:
+    def report(self) -> list[Finding]:
         """The final emitting pass plus the FLOW004 reachability rule."""
         for qual in sorted(self.program.functions):
             _Interp(self, self.program.functions[qual], emit=True).run()
@@ -267,7 +267,7 @@ class FlowAnalysis:
             return
         self._seen.add(key)
         self.findings.append(
-            FlowFinding(
+            Finding(
                 path=path, line=line, col=col, rule=rule,
                 message=message, function=fn.qual,
             )

@@ -1,113 +1,87 @@
 """Compiled-kernel readiness analyzer (KERN rules).
 
-The ROADMAP's remaining raw-speed item is a mypyc-/Cython-compiled
-``sim.engine`` + ``sched.core`` kernel registered as a third engine
-backend.  That port only works if the kernel zone (``repro.sim.*``,
-``repro.sched.*``, ``repro.balance.*``, ``repro.mem.*``) is a
-*compilable subset*: fixed class layouts, type-stable attributes,
-fully annotated hot signatures, no per-event closures, no dynamic
-dispatch probes.  This package proves those properties statically,
-reusing the FLOW analyzer's module loader, name-resolved call graph
-and converged call summaries (the fixpoint provides the
-dispatch-reachability edges).
+The native engine (:mod:`repro.sim.backends.native`) already runs the
+event loop and the CFS dispatch chain as a line-for-line C twin of the
+Python code, and the next compiled target is picked by the layer
+profile (the Linux balancer tick).  Each such port only works if the
+kernel zone (``repro.sim.*``, ``repro.sched.*``, ``repro.balance.*``,
+``repro.mem.*``) stays a *compilable subset*: fixed class layouts,
+type-stable attributes, fully annotated hot signatures, no per-event
+closures, no dynamic dispatch probes.  This package proves those
+properties statically on the FLOW analyzer's solved program: its
+module loader, name-resolved call graph and converged call summaries
+(the fixpoint provides the dispatch-reachability edges).
 
-Layering mirrors :mod:`repro.analysis.flow`: ``rules`` (catalogue +
-finding type) -> ``analyzer`` (the three analysis passes) ->
-``baseline``/``cli`` (strict ratchet + reporting).  Suppressions and
-allowlists reuse the shared :mod:`repro.analysis.suppress`
-conventions, so ``# sim-lint: ignore[KERN005]`` works exactly like
-its SIM/FLOW counterparts.
+Layering: ``rules`` (catalogue) -> ``analyzer`` (the three analysis
+passes).  Suppression, allowlist, baseline and reporting are the
+shared :mod:`repro.analysis.driver` ones, so ``# sim-lint:
+ignore[KERN005]`` works exactly like its SIM/FLOW counterparts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis import suppress
-from repro.analysis.flow.callgraph import build_index
-from repro.analysis.flow.modules import load_modules
+from repro.analysis.driver import Analyzer, Finding, Report, filter_findings
+from repro.analysis.flow import solve
 from repro.analysis.flow.summaries import FlowAnalysis
-from repro.analysis.kernel.analyzer import (
-    KERN007_BUDGET,
-    KERNEL_ZONE,
-    KernelAnalysis,
-    kernel_module,
-)
-from repro.analysis.kernel.rules import KERN_RULES, KernelFinding, KernelRule
+from repro.analysis.kernel.analyzer import KernelAnalysis, kernel_module
+from repro.analysis.kernel.rules import KERN_RULES
 
 __all__ = [
+    "ANALYZER",
     "KERN_RULES",
-    "KernelRule",
-    "KernelFinding",
-    "KernelReport",
-    "KERNEL_ZONE",
-    "KERN007_BUDGET",
     "DEFAULT_ALLOWLIST",
     "DEFAULT_BASELINE",
-    "kernel_module",
-    "analyze_paths",
     "kernel_paths",
 ]
 
 #: shipped zero-entry allowlist, next to the linter's and flow's
 DEFAULT_ALLOWLIST = Path(__file__).resolve().parent.parent / "kernel_allowlist.txt"
-#: committed findings baseline (strict ratchet; see ``kernel.baseline``)
+#: committed findings baseline (strict ratchet; see ``repro.analysis.driver``)
 DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / "kernel_baseline.txt"
 
 
-@dataclass
-class KernelReport:
-    """The outcome of one kernel readiness analysis."""
-
-    findings: list[KernelFinding]
-    errors: list[tuple[str, int, int, str]]  # unparseable files
-    modules: int  # modules analyzed (whole tree, for name resolution)
-    kernel_modules: int  # modules inside the kernel zone
-    reachable: int  # dispatch-reachable functions
-
-
-def analyze_paths(
-    paths: Iterable[str | Path],
-    allowlist: Sequence[tuple[str, str]] = (),
-) -> KernelReport:
-    """Run the full pipeline over every ``*.py`` under ``paths``.
+def _report(flow: FlowAnalysis, allowlist: Sequence[tuple[str, str]]) -> Report:
+    """Kernel findings on a solved flow analysis.
 
     The whole tree is loaded (cross-zone calls must resolve) but
     findings are only emitted for kernel-zone modules.
     """
-    modules = load_modules(paths)
-    program = build_index(modules)
-    flow = FlowAnalysis(program)
-    flow.solve()
-    analysis = KernelAnalysis(program, flow)
+    analysis = KernelAnalysis(flow.program, flow)
     raw = analysis.run()
-
-    by_path = {str(m.path): m for m in modules}
-    findings: list[KernelFinding] = []
-    for f in raw:
-        module = by_path.get(f.path)
-        if module is not None:
-            if suppress.has_skip_file(module.source):
-                continue
-            if suppress.is_suppressed(f.rule, f.line, module.lines):
-                continue
-        if suppress.allowlisted(f.rule, f.path, allowlist):
-            continue
-        findings.append(f)
-    return KernelReport(
-        findings=findings,
+    modules = flow.program.modules
+    zone = sum(1 for m in modules if kernel_module(m.name))
+    return Report(
+        findings=filter_findings(raw, {str(m.path): m.source for m in modules}, allowlist),
         errors=list(modules.errors),
-        modules=len(modules),
-        kernel_modules=sum(1 for m in modules if kernel_module(m.name)),
-        reachable=len(analysis.reachable),
+        summary=(
+            f"across {zone} kernel module(s) ({len(modules)} loaded), "
+            f"{len(analysis.reachable)} dispatch-reachable function(s)"
+        ),
+        extra={"reachable": len(analysis.reachable)},
     )
 
 
 def kernel_paths(
     paths: Iterable[str | Path],
     allowlist: Sequence[tuple[str, str]] = (),
-) -> list[KernelFinding]:
+) -> list[Finding]:
     """Findings for ``paths`` (the test-friendly entry point)."""
-    return analyze_paths(paths, allowlist).findings
+    return _report(solve(paths), allowlist).findings
+
+
+ANALYZER = Analyzer(
+    name="kernel",
+    title="kernel readiness analyzer",
+    description=(
+        "Compiled-kernel readiness analyzer: proves the hot core "
+        "(repro.sim/sched/balance/mem) is a type-stable, compilable "
+        "subset (KERN rules)."
+    ),
+    rules=KERN_RULES,
+    allowlist=DEFAULT_ALLOWLIST,
+    baseline=DEFAULT_BASELINE,
+    analyze=lambda workspace, allowlist: _report(workspace.flow(), allowlist),
+)

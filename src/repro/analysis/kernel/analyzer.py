@@ -39,9 +39,9 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from repro.analysis.driver import Finding
 from repro.analysis.flow.callgraph import FunctionInfo, ProgramIndex
 from repro.analysis.flow.summaries import FlowAnalysis
-from repro.analysis.kernel.rules import KernelFinding
 
 __all__ = [
     "KERNEL_ZONE",
@@ -127,7 +127,7 @@ class KernelAnalysis:
     def __init__(self, program: ProgramIndex, flow: FlowAnalysis):
         self.program = program
         self.flow = flow
-        self.findings: list[KernelFinding] = []
+        self.findings: list[Finding] = []
         self._seen: set = set()
         self.tables: dict[str, _ClassTable] = {}
         #: class qual -> attr -> class quals the attr may hold
@@ -146,7 +146,7 @@ class KernelAnalysis:
             return
         self._seen.add(key)
         self.findings.append(
-            KernelFinding(
+            Finding(
                 path=path, line=line, col=col, rule=rule,
                 message=message, function=fn_qual,
             )
@@ -158,7 +158,7 @@ class KernelAnalysis:
             if kernel_module(fn.module.name):
                 yield fn
 
-    def run(self) -> list[KernelFinding]:
+    def run(self) -> list[Finding]:
         self._collect_attr_types()
         self._env_cache.clear()  # final envs must see the settled map
         self._collect_attr_tables()

@@ -1,4 +1,4 @@
-"""The KERN rule catalogue and finding type.
+"""The KERN rule catalogue.
 
 The KERN rules prove the kernel zone (``repro.sim.*``, ``repro.sched.*``,
 ``repro.balance.*``, ``repro.mem.*``) is a *compilable subset*: the
@@ -49,78 +49,44 @@ KERN008  ``isinstance``/``hasattr`` probing in dispatch-reachable
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.analysis.driver import Rule
 
-__all__ = ["KernelRule", "KERN_RULES", "KernelFinding"]
+__all__ = ["KERN_RULES"]
 
-
-@dataclass(frozen=True)
-class KernelRule:
-    """One rule of the KERN catalogue."""
-
-    id: str
-    summary: str
-
-
-KERN_RULES: dict[str, KernelRule] = {
+KERN_RULES: dict[str, Rule] = {
     r.id: r
     for r in (
-        KernelRule(
+        Rule(
             "KERN001",
             "attribute created outside __init__/__slots__ on a kernel class",
         ),
-        KernelRule(
+        Rule(
             "KERN002",
             "attribute assigned incompatible types across the class",
         ),
-        KernelRule(
+        Rule(
             "KERN003",
             "un-annotated or Any-typed function on a dispatch-reachable path",
         ),
-        KernelRule(
+        Rule(
             "KERN004",
             "*args/**kwargs signature or argument splat on a hot call chain",
         ),
-        KernelRule(
+        Rule(
             "KERN005",
             "closure/lambda/nested def created on a per-event path",
         ),
-        KernelRule(
+        Rule(
             "KERN006",
             "non-compilable construct (eval/exec/locals/metaclass/dynamic hooks)",
         ),
-        KernelRule(
+        Rule(
             "KERN007",
             "container allocation in a dispatch-reachable loop beyond budget",
         ),
-        KernelRule(
+        Rule(
             "KERN008",
             "isinstance/hasattr dispatch in dispatch-reachable code",
         ),
     )
 }
-
-
-@dataclass(frozen=True)
-class KernelFinding:
-    """One violation of the compilable-subset discipline."""
-
-    path: str
-    line: int
-    col: int
-    rule: str
-    message: str
-    function: str  # qualified name of the offending function or class
-
-    def format(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    def as_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-            "function": self.function,
-        }

@@ -67,21 +67,18 @@ than participating in simulated time.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from repro.analysis import reporting, suppress
+from repro.analysis import suppress
+from repro.analysis.driver import Analyzer, Finding, Report, Rule, filter_findings, iter_files
 
 __all__ = [
+    "ANALYZER",
     "RULES",
-    "Finding",
-    "LintRule",
     "DEFAULT_ALLOWLIST",
-    "load_allowlist",
     "lint_source",
     "lint_paths",
-    "main",
 ]
 
 #: directories whose modules make scheduling decisions (SIM001 scope)
@@ -141,69 +138,22 @@ _ORDER_PRESERVING_CALLS = frozenset({"list", "tuple", "iter", "enumerate", "reve
 _INT_COERCIONS = frozenset({"int", "round", "ceil", "floor", "len"})
 
 
-@dataclass(frozen=True)
-class LintRule:
-    """One rule of the catalogue."""
-
-    id: str
-    summary: str
-
-
-RULES: dict[str, LintRule] = {
+RULES: dict[str, Rule] = {
     r.id: r
     for r in (
-        LintRule("SIM001", "unordered set/dict-view iteration in a decision module"),
-        LintRule("SIM002", "global `random` module used instead of repro.sim.rng"),
-        LintRule("SIM003", "wall-clock read in simulation code"),
-        LintRule("SIM004", "float arithmetic on an engine timestamp"),
-        LintRule("SIM005", "mutable default argument"),
-        LintRule("SIM006", "unordered filesystem iteration in a harness/analysis module"),
-        LintRule("SIM007", "O(n) aggregate recomputation in a hot scheduling module"),
+        Rule("SIM001", "unordered set/dict-view iteration in a decision module"),
+        Rule("SIM002", "global `random` module used instead of repro.sim.rng"),
+        Rule("SIM003", "wall-clock read in simulation code"),
+        Rule("SIM004", "float arithmetic on an engine timestamp"),
+        Rule("SIM005", "mutable default argument"),
+        Rule("SIM006", "unordered filesystem iteration in a harness/analysis module"),
+        Rule("SIM007", "O(n) aggregate recomputation in a hot scheduling module"),
     )
 }
 
-
-@dataclass(frozen=True)
-class Finding:
-    """One lint violation."""
-
-    path: str
-    line: int
-    col: int
-    rule: str
-    message: str
-
-    def format(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    def as_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-        }
-
-
-# ----------------------------------------------------------------------
-# allowlist and suppression comments (conventions shared with the flow
-# analyzer; see repro.analysis.suppress)
-# ----------------------------------------------------------------------
 DEFAULT_ALLOWLIST = Path(__file__).with_name("lint_allowlist.txt")
-
-
-def load_allowlist(path: Path) -> list[tuple[str, str]]:
-    """Parse ``RULE  glob`` lines; ``#`` comments and blanks ignored."""
-    return suppress.load_allowlist(path, frozenset(RULES))
-
-
-def _allowlisted(finding: Finding, allowlist: Sequence[tuple[str, str]]) -> bool:
-    return suppress.allowlisted(finding.rule, finding.path, allowlist)
-
-
-def _is_suppressed(finding: Finding, lines: Sequence[str]) -> bool:
-    return suppress.is_suppressed(finding.rule, finding.line, lines)
+#: not shipped: lint carries no debt, so its ratchet is strict from zero
+DEFAULT_BASELINE = Path(__file__).with_name("lint_baseline.txt")
 
 
 # ----------------------------------------------------------------------
@@ -624,30 +574,39 @@ def _floatish(node: ast.expr) -> bool:
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
-def lint_source(source: str, path: str | Path) -> list[Finding]:
-    """Lint one module's source text.  Suppression comments applied."""
-    p = Path(path)
-    if suppress.has_skip_file(source):
-        return []
+def _lint(source: str, path: Path) -> list[Finding]:
+    """Every finding in one module, before suppressions."""
     try:
-        tree = ast.parse(source, filename=str(p))
+        tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
         return [
             Finding(
-                path=str(p),
+                path=str(path),
                 line=exc.lineno or 1,
                 col=(exc.offset or 0) + 1,
                 rule="SIM000",
                 message=f"syntax error: {exc.msg}",
             )
         ]
-    visitor = _Visitor(p)
+    visitor = _Visitor(path)
     visitor.collect_evidence(tree)
     visitor.visit(tree)
-    lines = source.splitlines()
-    out = [f for f in visitor.findings if not _is_suppressed(f, lines)]
-    out.sort(key=lambda f: (f.line, f.col, f.rule))
-    return out
+    return sorted(visitor.findings, key=lambda f: (f.line, f.col, f.rule))
+
+
+def lint_source(source: str, path: str | Path) -> list[Finding]:
+    """Lint one module's source text.  Suppression comments applied."""
+    p = Path(path)
+    return filter_findings(_lint(source, p), {str(p): source}, ())
+
+
+def _report(paths: Iterable[str | Path], allowlist: Sequence[tuple[str, str]]) -> Report:
+    sources = {str(f): f.read_text() for f in iter_files(paths)}
+    raw = [f for path, source in sources.items() for f in _lint(source, Path(path))]
+    return Report(
+        findings=filter_findings(raw, sources, allowlist),
+        summary=f"across {len(sources)} file(s)",
+    )
 
 
 def lint_paths(
@@ -657,63 +616,19 @@ def lint_paths(
     """Lint files and directory trees; returns surviving findings."""
     if allowlist is None:
         allowlist = (
-            load_allowlist(DEFAULT_ALLOWLIST) if DEFAULT_ALLOWLIST.exists() else []
+            suppress.load_allowlist(DEFAULT_ALLOWLIST, frozenset(RULES))
+            if DEFAULT_ALLOWLIST.exists()
+            else []
         )
-    files: list[Path] = []
-    for p in paths:
-        p = Path(p)
-        if p.is_dir():
-            files.extend(sorted(p.rglob("*.py")))
-        else:
-            files.append(p)
-    findings: list[Finding] = []
-    for f in files:
-        for finding in lint_source(f.read_text(), f):
-            if not _allowlisted(finding, allowlist):
-                findings.append(finding)
-    return findings
+    return _report(paths, allowlist).findings
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI body for ``python -m repro.analysis lint``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro.analysis lint",
-        description="Determinism linter for the scheduling simulator (SIM001..SIM007)",
-    )
-    parser.add_argument("paths", nargs="*", default=["src/repro"], help="files or directories")
-    parser.add_argument(
-        "--allowlist",
-        type=Path,
-        default=None,
-        help=f"per-rule allowlist file (default: {DEFAULT_ALLOWLIST})",
-    )
-    parser.add_argument(
-        "--no-allowlist", action="store_true", help="ignore every allowlist entry"
-    )
-    parser.add_argument(
-        "--select",
-        default=None,
-        help="comma-separated rule ids to report (default: all)",
-    )
-    reporting.add_format_argument(parser)
-    args = parser.parse_args(argv)
-
-    if args.no_allowlist:
-        allowlist: Optional[list[tuple[str, str]]] = []
-    elif args.allowlist is not None:
-        allowlist = load_allowlist(args.allowlist)
-    else:
-        allowlist = None  # shipped default
-    findings = lint_paths(args.paths, allowlist=allowlist)
-    if args.select:
-        wanted = {r.strip() for r in args.select.split(",")}
-        findings = [f for f in findings if f.rule in wanted]
-    reporting.emit_findings(findings, args.format)
-    n = len(findings)
-    if n:
-        if args.format == "text":
-            print(f"sim-lint: {n} finding{'s' if n != 1 else ''}")
-        return 1
-    return 0
+ANALYZER = Analyzer(
+    name="lint",
+    title="determinism linter",
+    description="Per-file determinism linter for the scheduling simulator (SIM rules).",
+    rules=RULES,
+    allowlist=DEFAULT_ALLOWLIST,
+    baseline=DEFAULT_BASELINE,
+    analyze=lambda workspace, allowlist: _report(workspace.paths, allowlist),
+)

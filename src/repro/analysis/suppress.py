@@ -4,9 +4,9 @@ All three static analyzers -- the per-file determinism linter
 (:mod:`repro.analysis.lint`, SIM rules), the whole-program flow
 analyzer (:mod:`repro.analysis.flow`, FLOW rules) and the
 compiled-kernel readiness analyzer (:mod:`repro.analysis.kernel`,
-KERN rules) -- honour the same two escape hatches, implemented once
-here so a suppression written for one tool reads identically to the
-others:
+KERN rules) -- honour the same two escape hatches, parsed here and
+applied by the one filter in :mod:`repro.analysis.driver`, so a
+suppression written for one tool reads identically to the others:
 
 * **line suppressions** -- a trailing comment on the offending line::
 
@@ -42,7 +42,7 @@ __all__ = [
     "allowlisted",
 ]
 
-#: the comment marker both tools share
+#: the comment marker all three analyzers share
 MARKER = "sim-lint:"
 
 

@@ -181,118 +181,48 @@ def _invariant_runs(args: argparse.Namespace):
                 }
 
 
-def _check_all(args: argparse.Namespace) -> int:
-    """``repro check --all``: every layer, one merged JSON report.
-
-    Runs the determinism lint, the flow analyzer and the kernel
-    readiness analyzer (both with their shipped allowlist + ratchet
-    baseline, exactly like their CLIs) plus the invariant smoke matrix,
-    and prints a single JSON object keyed by layer.
-    """
-    import json
-
-    from repro.analysis import flow as flow_pkg
-    from repro.analysis import kernel as kernel_pkg
-    from repro.analysis import suppress
-    from repro.analysis.flow import FLOW_RULES
-    from repro.analysis.flow.baseline import apply_baseline, load_baseline
-    from repro.analysis.kernel import KERN_RULES
-    from repro.analysis.lint import lint_paths
-
-    paths = args.paths or [str(Path(__file__).resolve().parent)]
-    report: dict = {}
-
-    findings = lint_paths(paths)
-    report["lint"] = {
-        "status": "fail" if findings else "ok",
-        "findings": [f.as_dict() for f in findings],
-    }
-
-    for key, pkg, rules in (
-        ("flow", flow_pkg, FLOW_RULES),
-        ("kernel", kernel_pkg, KERN_RULES),
-    ):
-        allowlist = []
-        if pkg.DEFAULT_ALLOWLIST.exists():
-            allowlist = suppress.load_allowlist(pkg.DEFAULT_ALLOWLIST, frozenset(rules))
-        layer = pkg.analyze_paths(paths, allowlist)
-        layer_findings, stale = layer.findings, []
-        if pkg.DEFAULT_BASELINE.exists():
-            allowed = load_baseline(pkg.DEFAULT_BASELINE, frozenset(rules))
-            layer_findings, stale = apply_baseline(layer_findings, allowed)
-        failed = bool(layer_findings) or bool(stale) or bool(layer.errors)
-        report[key] = {
-            "status": "fail" if failed else "ok",
-            "findings": [f.as_dict() for f in layer_findings],
-            "stale_baseline": stale,
-            "errors": [list(e) for e in layer.errors],
-        }
-        if key == "kernel":
-            report[key]["reachable"] = layer.reachable
-
-    runs = list(_invariant_runs(args))
-    inv_ok = all(r["ok"] for r in runs)
-    report["invariants"] = {"status": "ok" if inv_ok else "fail", "runs": runs}
-
-    report["status"] = (
-        "ok"
-        if all(layer["status"] == "ok" for layer in report.values() if isinstance(layer, dict))
-        else "fail"
-    )
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if report["status"] == "ok" else 1
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     """Correctness tooling: static analysis + runtime invariants.
 
     ``repro check`` runs the per-file lint, the whole-program flow
     analysis and the invariant smoke; ``--lint`` / ``--flow`` /
-    ``--kernel`` / ``--invariants`` restrict it to one layer and
-    ``--all`` runs every layer (adding the kernel readiness analyzer)
-    with one merged JSON report.  The invariant pass runs a smoke
-    matrix of balancer modes on a UMA and a NUMA machine with an
+    ``--kernel`` / ``--invariants`` pick layers and ``--all`` runs every
+    layer (adding the kernel readiness analyzer) with one merged JSON
+    report.  The static layers run through :mod:`repro.analysis.driver`
+    with their shipped allowlists and baselines, sharing one parse and
+    one flow fixpoint.  The invariant pass runs a smoke matrix of
+    balancer modes on a UMA and a NUMA machine with an
     :class:`~repro.analysis.invariants.InvariantChecker` installed at
     full scan resolution, so every mechanism invariant (INV001..INV004)
     and the speed balancer's policy invariants (INV005/INV006) are
     exercised end to end.
     """
-    from repro.analysis.lint import lint_paths
+    from repro.analysis import driver
+
+    static = [name for name in driver.NAMES if args.all or getattr(args, name)]
+    do_invariants = args.all or args.invariants
+    if not static and not do_invariants:
+        static, do_invariants = ["lint", "flow"], True
+    paths = args.paths or [str(Path(__file__).resolve().parent)]
+    missing = driver.missing_paths(paths) if static else []
+    if missing:
+        print(f"{static[0]}: error: no such path: {', '.join(missing)}", file=sys.stderr)
+        return 2
+    outcomes = driver.check(static, paths)
 
     if args.all:
-        return _check_all(args)
+        import json
 
-    restricted = args.lint or args.invariants or args.flow or args.kernel
-    do_lint = args.lint or not restricted
-    do_flow = args.flow or not restricted
-    do_kernel = args.kernel
-    do_invariants = args.invariants or not restricted
-    status = 0
+        report: dict = {o.analyzer.name: o.as_dict() for o in outcomes}
+        runs = list(_invariant_runs(args))
+        inv_ok = all(r["ok"] for r in runs)
+        report["invariants"] = {"status": "ok" if inv_ok else "fail", "runs": runs}
+        ok = all(layer["status"] == "ok" for layer in report.values())
+        report["status"] = "ok" if ok else "fail"
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return 0 if ok else 1
 
-    if do_lint:
-        paths = args.paths or [str(Path(__file__).resolve().parent)]
-        findings = lint_paths(paths)
-        for f in findings:
-            print(f.format())
-        n = len(findings)
-        print(f"lint: {'ok' if not n else f'{n} finding(s)'} ({', '.join(paths)})")
-        if n:
-            status = 1
-
-    if do_flow:
-        from repro.analysis.flow.cli import main as flow_main
-
-        paths = args.paths or [str(Path(__file__).resolve().parent)]
-        if flow_main(paths):
-            status = 1
-
-    if do_kernel:
-        from repro.analysis.kernel.cli import main as kernel_main
-
-        paths = args.paths or [str(Path(__file__).resolve().parent)]
-        if kernel_main(paths):
-            status = 1
-
+    status = driver.emit(outcomes)
     if do_invariants:
         for result in _invariant_runs(args):
             if not result["ok"]:

@@ -16,23 +16,27 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import suppress
+from repro.analysis.driver import (
+    Finding,
+    apply_baseline,
+    fingerprint,
+    load_baseline,
+    main as analysis_main,
+    write_baseline,
+)
 from repro.analysis.flow import (
     DEFAULT_ALLOWLIST,
     DEFAULT_BASELINE,
     FLOW_RULES,
-    FlowFinding,
     flow_paths,
 )
-from repro.analysis.flow.baseline import (
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.flow.cli import main as flow_main
 from repro.analysis.lint import lint_source
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def flow_main(argv: list[str]) -> int:
+    return analysis_main(["flow", *argv])
 
 
 def write_tree(root: Path, files: dict) -> None:
@@ -581,8 +585,8 @@ class TestBaselineRatchet:
     }
 
     def test_fingerprint_is_layout_stable(self):
-        a = FlowFinding("src/repro/sched/x.py", 3, 1, "FLOW004", "m", "repro.sched.x:f")
-        b = FlowFinding("/opt/lib/repro/sched/x.py", 9, 5, "FLOW004", "m", "repro.sched.x:f")
+        a = Finding("src/repro/sched/x.py", 3, 1, "FLOW004", "m", "repro.sched.x:f")
+        b = Finding("/opt/lib/repro/sched/x.py", 9, 5, "FLOW004", "m", "repro.sched.x:f")
         assert fingerprint(a) == fingerprint(b)
 
     def test_round_trip_and_both_ratchet_directions(self, tmp_path):
@@ -590,7 +594,7 @@ class TestBaselineRatchet:
         findings = flow_paths([tmp_path])
         assert findings
         bl = tmp_path / "baseline.txt"
-        write_baseline(findings, bl)
+        write_baseline(findings, bl, "flow")
         allowed = load_baseline(bl, frozenset(FLOW_RULES))
 
         new, stale = apply_baseline(findings, allowed)
@@ -603,10 +607,10 @@ class TestBaselineRatchet:
         assert new == findings and stale == []
 
     def test_multiplicity_suffix(self, tmp_path):
-        f = FlowFinding("repro/sched/x.py", 3, 1, "FLOW004", "m", "repro.sched.x:f")
-        g = FlowFinding("repro/sched/x.py", 9, 1, "FLOW004", "m", "repro.sched.x:f")
+        f = Finding("repro/sched/x.py", 3, 1, "FLOW004", "m", "repro.sched.x:f")
+        g = Finding("repro/sched/x.py", 9, 1, "FLOW004", "m", "repro.sched.x:f")
         bl = tmp_path / "baseline.txt"
-        write_baseline([f, g], bl)
+        write_baseline([f, g], bl, "flow")
         assert f"{fingerprint(f)} x2" in bl.read_text()
         allowed = load_baseline(bl, frozenset(FLOW_RULES))
         assert allowed == Counter({fingerprint(f): 2})

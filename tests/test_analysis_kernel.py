@@ -18,22 +18,26 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import suppress
+from repro.analysis.driver import (
+    Finding,
+    apply_baseline,
+    fingerprint,
+    load_baseline,
+    main as analysis_main,
+    write_baseline,
+)
 from repro.analysis.kernel import (
     DEFAULT_ALLOWLIST,
     DEFAULT_BASELINE,
     KERN_RULES,
-    KernelFinding,
     kernel_paths,
 )
-from repro.analysis.kernel.baseline import (
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.kernel.cli import main as kernel_main
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def kernel_main(argv: list[str]) -> int:
+    return analysis_main(["kernel", *argv])
 
 
 def write_tree(root: Path, files: dict) -> None:
@@ -595,8 +599,8 @@ class TestBaselineRatchet:
     }
 
     def test_fingerprint_is_layout_stable(self):
-        a = KernelFinding("src/repro/sched/x.py", 3, 1, "KERN005", "m", "repro.sched.x:f")
-        b = KernelFinding("/opt/lib/repro/sched/x.py", 9, 5, "KERN005", "m", "repro.sched.x:f")
+        a = Finding("src/repro/sched/x.py", 3, 1, "KERN005", "m", "repro.sched.x:f")
+        b = Finding("/opt/lib/repro/sched/x.py", 9, 5, "KERN005", "m", "repro.sched.x:f")
         assert fingerprint(a) == fingerprint(b)
 
     def test_round_trip_and_both_ratchet_directions(self, tmp_path):
@@ -604,7 +608,7 @@ class TestBaselineRatchet:
         findings = kernel_paths([tmp_path])
         assert findings
         bl = tmp_path / "baseline.txt"
-        write_baseline(findings, bl)
+        write_baseline(findings, bl, "kernel")
         assert "repro.analysis kernel" in bl.read_text()  # header names the tool
         allowed = load_baseline(bl, frozenset(KERN_RULES))
 
@@ -618,10 +622,10 @@ class TestBaselineRatchet:
         assert new == findings and stale == []
 
     def test_multiplicity_suffix(self, tmp_path):
-        f = KernelFinding("repro/sched/x.py", 3, 1, "KERN005", "m", "repro.sched.x:f")
-        g = KernelFinding("repro/sched/x.py", 9, 1, "KERN005", "m", "repro.sched.x:f")
+        f = Finding("repro/sched/x.py", 3, 1, "KERN005", "m", "repro.sched.x:f")
+        g = Finding("repro/sched/x.py", 9, 1, "KERN005", "m", "repro.sched.x:f")
         bl = tmp_path / "baseline.txt"
-        write_baseline([f, g], bl)
+        write_baseline([f, g], bl, "kernel")
         assert f"{fingerprint(f)} x2" in bl.read_text()
         allowed = load_baseline(bl, frozenset(KERN_RULES))
         assert allowed == Counter({fingerprint(f): 2})

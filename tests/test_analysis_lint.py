@@ -13,14 +13,22 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.analysis import suppress
+from repro.analysis.driver import main as analysis_main
 from repro.analysis.lint import (
     DEFAULT_ALLOWLIST,
     RULES,
     lint_paths,
     lint_source,
-    load_allowlist,
 )
-from repro.analysis.lint import main as lint_main
+
+
+def load_allowlist(path: Path) -> list[tuple[str, str]]:
+    return suppress.load_allowlist(path, frozenset(RULES))
+
+
+def lint_main(argv: list[str]) -> int:
+    return analysis_main(["lint", *argv])
 
 #: a path inside a scheduling-decision directory (SIM001 applies) ...
 DECISION = Path("src/repro/balance/fake.py")
@@ -263,6 +271,28 @@ class TestCli:
         assert "SIM002" in capsys.readouterr().out
         capsys.readouterr()
         assert lint_main([str(rng)]) == 0  # shipped allowlist sanctions it
+
+    def test_unknown_select_rejected(self, tmp_path, capsys):
+        f = tmp_path / "bad.py"
+        f.write_text("import random\n")
+        assert lint_main([str(f), "--select", "SIM999"]) == 2
+        assert "SIM999" in capsys.readouterr().err
+
+    def test_select_is_repeatable_and_comma_separated(self, tmp_path, capsys):
+        f = tmp_path / "bad.py"
+        f.write_text("import random\nimport time\nt = time.time()\ndef f(x=[]):\n    pass\n")
+        for argv in (
+            ["--select", "SIM002", "--select", "SIM005"],
+            ["--select", "SIM002,SIM005"],
+        ):
+            assert lint_main([str(f), *argv]) == 1
+            out = capsys.readouterr().out
+            assert "SIM002" in out and "SIM005" in out and "SIM003" not in out
+
+    def test_missing_path_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope"
+        assert lint_main([str(missing)]) == 2
+        assert capsys.readouterr().err == f"lint: error: no such path: {missing}\n"
 
 
 class TestMutationCatches:
