@@ -262,9 +262,27 @@ def apply_baseline(
     return new, stale
 
 
-def write_baseline(findings: Iterable[Finding], path: Path, tool: str) -> None:
-    """Write ``findings`` as a baseline; ``tool`` names the analyzer in the header."""
-    counts = Counter(fingerprint(f) for f in findings)
+def _split_baseline(
+    allowed: Counter[str], rules: Iterable[str]
+) -> tuple[Counter[str], Counter[str]]:
+    """Split baseline entries into (those of ``rules``, all the others)."""
+    wanted = frozenset(rules)
+    mine: Counter[str] = Counter()
+    others: Counter[str] = Counter()
+    for fp, n in allowed.items():
+        (mine if fp.split(" ", 1)[0] in wanted else others)[fp] = n
+    return mine, others
+
+
+def write_baseline(
+    findings: Iterable[Finding],
+    path: Path,
+    tool: str,
+    kept: Optional[Counter[str]] = None,
+) -> None:
+    """Write ``findings`` (plus the ``kept`` entries) as a baseline;
+    ``tool`` names the analyzer in the header."""
+    counts = Counter(fingerprint(f) for f in findings) + (kept or Counter())
     lines = [_HEADER.format(title=get(tool).title, name=tool)]
     for fp in sorted(counts):
         n = counts[fp]
@@ -328,6 +346,9 @@ def run(
     allowed: Counter[str] = Counter()
     if baseline is not None:
         allowed = load_baseline(baseline, analyzer.rules)
+    if wanted:
+        # an unselected rule's entries are neither matched nor stale
+        allowed, _ = _split_baseline(allowed, wanted)
     new, stale = apply_baseline(findings, allowed)
     return Outcome(analyzer, report, new, stale)
 
@@ -482,7 +503,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     outcome = run(analyzer, Workspace(paths), allowlist, baseline, select)
     if args.write_baseline:
         _print_errors(outcome.report)
-        write_baseline(outcome.new, baseline_path, analyzer.name)
+        kept: Counter[str] = Counter()
+        if select:
+            # rewrite only the selected rules' entries
+            _, kept = _split_baseline(
+                load_baseline(baseline_path, analyzer.rules), select
+            )
+        write_baseline(outcome.new, baseline_path, analyzer.name, kept)
         print(
             f"{analyzer.name}: wrote {len(outcome.new)} finding(s) to {baseline_path}",
             file=sys.stderr,

@@ -2,8 +2,10 @@
 
 Scaling the content-addressed store past one process means scaling its
 *lock*: every :meth:`~repro.store.store.ResultStore.put` serializes on
-``index.lock``, so N workers sharing one store root would convoy on a
-single file.  The serving layer therefore splits the namespace by
+``index.lock``.  A put holds it for about a millisecond (one journal
+line is appended; the index is not rewritten), but N workers sharing
+one store root would still convoy on a single file.  The serving
+layer therefore splits the namespace by
 digest prefix: shard ``k`` of ``n`` owns every digest with
 ``int(digest[:2], 16) % n == k``, each shard is a full, independent
 :class:`ResultStore` under ``<root>/shard-XX/``, and **worker ``k`` is
@@ -17,7 +19,7 @@ Two pool backends share one message protocol:
 * :class:`ProcessWorkerPool` -- one OS process per shard (the
   production backend; survives a hung or crashed simulation, which the
   parent detects by deadline and answers by killing + respawning just
-  that worker);
+  that worker, removing the shard lock the dead worker may have held);
 * :class:`ThreadWorkerPool` -- same loop on threads, for fast in-suite
   tests (no fork, no kill support).
 
@@ -271,12 +273,15 @@ class ProcessWorkerPool(_PoolBase):
         The worker's private queue survives, so jobs already routed to
         the shard are picked up by the replacement; only the job that
         was *running* is lost, and the server reports it failed with a
-        timeout reason.
+        timeout reason.  A shard lock the killed worker held is removed:
+        worker ``i`` was shard ``i``'s only writer, so the lock is stale.
         """
         proc = self._procs[i]
         if proc is not None and proc.is_alive():
             proc.kill()
             proc.join(timeout=5.0)
+        if proc is None or not proc.is_alive():
+            self.store.shards[i].clear_lock()
         self._spawn_one(i)
 
     def _stop_workers(self, timeout_s: float) -> None:

@@ -2,7 +2,10 @@
 
 Layout (under the store root, ``.repro-store/`` by default)::
 
-    index.json                  -- manifest: digest -> summary (O(1) listing)
+    index.json                  -- snapshot: digest -> summary, plus the
+                                   generation of the journal it pairs with
+    index-<gen>.log             -- append-only journal: one JSON line per
+                                   put or delete since that snapshot
     index.lock                  -- transient inter-process mutation lock
     objects/<2-char shard>/<digest>/
         entry.json              -- spec key, result/value, integrity digest
@@ -24,6 +27,25 @@ and, for traces, the SHA-256 of the decompressed bytes -- and raises
 is therefore *detected*, never silently served; callers like
 :class:`repro.service.JobService` treat the error as a cache miss and
 recompute.
+
+Index: snapshot + journal
+-------------------------
+A put never rewrites the index.  It appends one compact JSON line --
+the entry's index row plus its ``digest`` and the store's new
+``next_seq`` -- to the journal with a single ``os.write`` on an
+``O_APPEND`` descriptor, and it takes its ``seq`` from the journal's
+last line (or from the snapshot's first line when the journal is
+empty), so its cost does not grow with the store.  A delete appends a
+tombstone line.  Readers parse the snapshot and replay the journal;
+bytes after the journal's last newline are a put still in flight and
+are ignored, and a malformed complete line makes the reader rebuild
+the index from the objects tree.
+
+Compaction (``gc``, and a writer that finds a torn journal tail or a
+schema-1 index) writes a new snapshot naming a fresh, empty journal
+of the next generation; one ``os.replace`` switches both, and only
+then are older journals removed.  A reader therefore never pairs a
+snapshot with another generation's journal.
 
 Concurrency
 -----------
@@ -74,12 +96,19 @@ __all__ = [
     "StoreStats",
 ]
 
-STORE_SCHEMA = 1
+#: index layout: 2 = snapshot + journal; 1 = a bare ``index.json``
+#: (still read, and compacted to 2 by the first write)
+STORE_SCHEMA = 2
+_READABLE_SCHEMAS = (1, STORE_SCHEMA)
+#: ``entry.json``'s own schema, unchanged by the index layout
+_ENTRY_SCHEMA = 1
 DEFAULT_ROOT = ".repro-store"
 
 #: bounded lock acquisition: ~50 attempts x 20 ms ~= 1 s worst case
 _LOCK_ATTEMPTS = 50
 _LOCK_SLEEP_S = 0.02
+#: a journal line is a few hundred bytes; a put reads this much of the tail
+_TAIL_BYTES = 4096
 
 
 class StoreError(Exception):
@@ -161,7 +190,11 @@ class GcReport:
 
 
 def _empty_index() -> dict:
-    return {"schema": STORE_SCHEMA, "next_seq": 0, "entries": {}}
+    return {"schema": STORE_SCHEMA, "gen": 0, "next_seq": 0, "entries": {}}
+
+
+def _json_line(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class ResultStore:
@@ -211,27 +244,212 @@ class ResultStore:
             except FileNotFoundError:  # pragma: no cover - external removal
                 pass
 
+    def clear_lock(self) -> None:
+        """Remove an ``index.lock`` left by a writer that died holding it.
+
+        Safe only when the caller knows no live process can be writing
+        to this store, e.g. the serving daemon after it killed the
+        shard's one writer.
+        """
+        self._lock_path.unlink(missing_ok=True)
+
     # -- index ----------------------------------------------------------
-    def _read_index(self) -> dict:
+    def _journal_path(self, gen: int) -> Path:
+        return self.root / f"index-{gen}.log"
+
+    def _journals(self) -> list[tuple[int, Path]]:
+        """Every ``index-<gen>.log`` on disk with its generation."""
+        found = []
+        for path in sorted(self.root.glob("index-*.log")):
+            gen = path.stem[len("index-"):]
+            if gen.isdigit():
+                found.append((int(gen), path))
+        return found
+
+    def _read_snapshot(self) -> Optional[bytes]:
         try:
-            index = json.loads(self._index_path.read_text())
+            return self._index_path.read_bytes()
         except FileNotFoundError:
+            return None
+
+    def _parse_snapshot(self, raw: Optional[bytes]) -> Optional[dict]:
+        """The snapshot as an index dict; ``None`` when it is torn."""
+        if raw is None:
             return _empty_index()
-        except (OSError, json.JSONDecodeError):
-            # the index is an accelerator; a torn one is rebuilt
-            return self._rebuild_index_unlocked()
-        if index.get("schema") != STORE_SCHEMA:
+        try:
+            index = json.loads(raw)
+        except ValueError:
+            return None
+        if not isinstance(index, dict):
+            return None
+        if index.get("schema") not in _READABLE_SCHEMAS:
             raise StoreError(
                 f"{self._index_path}: unsupported store schema "
-                f"{index.get('schema')!r} (this build reads {STORE_SCHEMA})"
+                f"{index.get('schema')!r} (this build reads "
+                f"{', '.join(map(str, _READABLE_SCHEMAS))})"
             )
+        index.setdefault("gen", 0)
         return index
 
-    def _write_index(self, index: dict) -> None:
+    @staticmethod
+    def _replay(index: dict, journal: bytes) -> bool:
+        """Apply the journal's complete lines to ``index`` in place.
+
+        The bytes after the last newline are a put still in flight in
+        another process (or one a crash tore) and are ignored.  Returns
+        False on a malformed complete line.
+        """
+        entries = index["entries"]
+        try:
+            # one parse for the lot; any malformed line fails it
+            records = json.loads(b"[" + b",".join(journal.split(b"\n")[:-1]) + b"]")
+        except ValueError:
+            return False
+        for record in records:
+            try:
+                digest = record.pop("digest")
+                next_seq = record.pop("next_seq")
+            except (KeyError, TypeError, AttributeError):
+                return False
+            if not isinstance(digest, str) or not isinstance(next_seq, int):
+                return False
+            if record.pop("deleted", False):
+                entries.pop(digest, None)
+            else:
+                entries[digest] = record
+            index["next_seq"] = next_seq
+        return True
+
+    def _read_index(self) -> dict:
+        """The index now: the snapshot with its journal replayed."""
+        for _ in range(_LOCK_ATTEMPTS):
+            raw = self._read_snapshot()
+            index = self._parse_snapshot(raw)
+            if index is None:
+                # the index is an accelerator; a torn one is rebuilt
+                return self._rebuild_index_unlocked()
+            if index["schema"] == 1:
+                return index  # schema 1 has no journal
+            try:
+                journal = self._journal_path(index["gen"]).read_bytes()
+            except FileNotFoundError:
+                if self._read_snapshot() != raw:
+                    continue  # a compaction switched journals under us
+                journal = b""
+            if self._replay(index, journal):
+                return index
+            return self._rebuild_index_unlocked()
+        raise StoreError(
+            f"{self._index_path}: the index changed on every one of "
+            f"{_LOCK_ATTEMPTS} reads"
+        )
+
+    def _journal_tail(self) -> Optional[tuple[int, int]]:
+        """``(gen, next_seq)`` for the next journal line, under the lock.
+
+        Reads only the snapshot's first line and the journal's last
+        one.  ``None`` when the index must be compacted first: the
+        snapshot is schema 1 or torn, or the journal's tail is torn or
+        malformed.
+        """
+        try:
+            with open(self._index_path, "rb") as f:
+                first = f.readline()
+        except FileNotFoundError:
+            gen, next_seq = 0, 0
+        else:
+            if not first.endswith(b",\n"):
+                return None
+            try:
+                head = json.loads(first[:-2] + b"}")
+            except ValueError:
+                return None
+            if not isinstance(head, dict) or head.get("schema") != STORE_SCHEMA:
+                return None
+            gen, next_seq = head.get("gen"), head.get("next_seq")
+            if not isinstance(gen, int) or not isinstance(next_seq, int):
+                return None
+        try:
+            with open(self._journal_path(gen), "rb") as f:
+                size = f.seek(0, os.SEEK_END)
+                if size == 0:
+                    return gen, next_seq
+                start = f.seek(max(0, size - _TAIL_BYTES))
+                tail = f.read()
+        except FileNotFoundError:
+            return gen, next_seq
+        if not tail.endswith(b"\n"):
+            return None  # torn: no put is in flight while we hold the lock
+        cut = tail.rfind(b"\n", 0, len(tail) - 1)
+        if cut < 0 and start > 0:
+            return None  # a last line longer than the tail read
+        try:
+            next_seq = json.loads(tail[cut + 1:])["next_seq"]
+        except (ValueError, KeyError, TypeError):
+            return None
+        return (gen, next_seq) if isinstance(next_seq, int) else None
+
+    def _writable_tail(self) -> tuple[int, int]:
+        """``(gen, next_seq)`` to append at, compacting first if needed.
+
+        Recovery adopts valid objects the index does not name, so the
+        entry of a put whose journal line a crash tore keeps its
+        ``seq`` and ``seq`` stays dense.
+        """
+        tail = self._journal_tail()
+        if tail is not None:
+            return tail
+        index = self._read_index()
+        for digest in self._walk_object_digests():
+            if digest in index["entries"]:
+                continue
+            try:
+                doc = self._load_entry_doc(digest)
+            except StoreError:
+                continue  # corrupt: gc removes it
+            index["entries"][digest] = self._index_row(doc)
+            index["next_seq"] = max(index["next_seq"], doc["seq"] + 1)
+        return self._compact(index), index["next_seq"]
+
+    def _compact(self, index: dict) -> int:
+        """Write ``index`` as the snapshot of a fresh, empty journal.
+
+        The new journal exists before the snapshot that names it, one
+        ``os.replace`` switches both, and only then are older journals
+        removed.  Returns the new generation.  Caller holds the lock.
+        """
         self.root.mkdir(parents=True, exist_ok=True)
+        old = self._journals()
+        gen = 1 + max([index["gen"]] + [g for g, _ in old])
+        # truncates a leftover of a compaction that died before its switch
+        self._journal_path(gen).write_bytes(b"")
+        head = _json_line(
+            {"gen": gen, "next_seq": index["next_seq"], "schema": STORE_SCHEMA}
+        )
         tmp = self._index_path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
+        # the first line is the head alone, so a writer reads no more
+        tmp.write_text(
+            f'{head[:-1]},\n"entries":{_json_line(index["entries"])}}}\n'
+        )
         os.replace(tmp, self._index_path)
+        for _, path in old:
+            path.unlink(missing_ok=True)
+        return gen
+
+    def _append(self, gen: int, record: dict) -> None:
+        """Append one journal line with a single ``O_APPEND`` write."""
+        path = self._journal_path(gen)
+        line = (_json_line(record) + "\n").encode()
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            written = os.write(fd, line)
+        finally:
+            os.close(fd)
+        if written != len(line):
+            raise StoreError(
+                f"{path}: short journal write ({written} of {len(line)} "
+                "bytes); the next write compacts the index"
+            )
 
     def _walk_object_digests(self) -> Iterator[str]:
         """Every object digest on disk, in sorted (deterministic) order."""
@@ -339,7 +557,7 @@ class ResultStore:
         digest = digest_of(key)
 
         doc: dict[str, Any] = {
-            "schema": STORE_SCHEMA,
+            "schema": _ENTRY_SCHEMA,
             "spec": key,
             "spec_digest": digest,
         }
@@ -363,10 +581,10 @@ class ResultStore:
             doc["trace_sha256"] = None
 
         def commit() -> str:
-            index = self._read_index()
-            if digest in index["entries"] and self._object_dir(digest).exists():
+            final = self._object_dir(digest)
+            if final.exists():
                 return digest
-            seq = index["next_seq"]
+            gen, seq = self._writable_tail()
             doc["seq"] = seq
             doc["integrity"] = self._integrity_of(doc)
 
@@ -378,7 +596,6 @@ class ResultStore:
             if trace_blob is not None:
                 (stage / "trace.json.gz").write_bytes(trace_blob)
 
-            final = self._object_dir(digest)
             final.parent.mkdir(parents=True, exist_ok=True)
             try:
                 os.rename(stage, final)
@@ -389,9 +606,9 @@ class ResultStore:
                     p.unlink()
                 stage.rmdir()
                 return digest
-            index["entries"][digest] = self._index_row(doc)
-            index["next_seq"] = seq + 1
-            self._write_index(index)
+            self._append(
+                gen, {**self._index_row(doc), "digest": digest, "next_seq": seq + 1}
+            )
             return digest
 
         return self._with_lock(commit)
@@ -468,14 +685,17 @@ class ResultStore:
         return trace_from_dict(json.loads(raw))
 
     def delete(self, digest_or_spec: Union[str, RunSpec]) -> bool:
-        """Remove one entry (object + index row); True if it existed."""
+        """Remove one entry (object, then a tombstone journal line);
+        True if it existed."""
         digest = self._resolve(digest_or_spec)
 
         def commit() -> bool:
             existed = self._remove_object(digest)
-            index = self._read_index()
-            if index["entries"].pop(digest, None) is not None:
-                self._write_index(index)
+            if digest in self._read_index()["entries"]:
+                gen, next_seq = self._writable_tail()
+                self._append(
+                    gen, {"deleted": True, "digest": digest, "next_seq": next_seq}
+                )
                 existed = True
             return existed
 
@@ -496,15 +716,16 @@ class ResultStore:
 
     # -- listing --------------------------------------------------------
     def digests(self) -> list[str]:
-        """All entry digests, oldest first (O(1): read from the index)."""
-        index = self._read_index()
-        return sorted(index["entries"], key=lambda d: index["entries"][d]["seq"])
+        """All entry digests, oldest first (read from the index)."""
+        rows = self._read_index()["entries"]
+        return sorted(rows, key=lambda d: rows[d]["seq"])
 
     def entries(self) -> list[dict]:
         """Index rows (digest + summary), oldest first."""
-        index = self._read_index()
+        rows = self._read_index()["entries"]
         return [
-            {"digest": d, **index["entries"][d]} for d in self.digests()
+            {"digest": d, **rows[d]}
+            for d in sorted(rows, key=lambda d: rows[d]["seq"])
         ]
 
     # -- maintenance ----------------------------------------------------
@@ -561,6 +782,10 @@ class ResultStore:
         """Collect garbage: drop corrupt objects, rebuild the index,
         then evict oldest-first down to the caps.
 
+        The rebuilt index is written as a new snapshot with a fresh
+        journal (see the module docs) before evicted objects are
+        removed, so no reader sees an evicted row in the new index.
+
         Eviction order is insertion order (``seq``), which is
         deterministic and wall-clock free; see docs/store.md for the
         policy rationale.  Returns a :class:`GcReport`.
@@ -571,6 +796,7 @@ class ResultStore:
             index_before = self._read_index()
             known = set(index_before["entries"])
             rows: list[tuple[int, str, int]] = []  # (seq, digest, bytes)
+            index = _empty_index()
             for digest in list(self._walk_object_digests()):
                 obj = self._object_dir(digest)
                 size = sum(
@@ -591,6 +817,7 @@ class ResultStore:
                     report.adopted += 1
                     report.findings.append(f"adopted unindexed {digest[:12]}...")
                 rows.append((doc["seq"], digest, size))
+                index["entries"][digest] = self._index_row(doc)
             rows.sort()
 
             total = sum(size for _, _, size in rows)
@@ -607,21 +834,19 @@ class ResultStore:
                     acc += size
                     n += 1
                 evict = max(evict, n if over > 0 else 0)
+            for _, digest, _ in rows[:evict]:
+                del index["entries"][digest]
+            index["gen"] = index_before["gen"]
+            index["next_seq"] = max(
+                [index_before["next_seq"]] + [seq + 1 for seq, _, _ in rows]
+            )
+            self._compact(index)
             for seq, digest, size in rows[:evict]:
                 self._remove_object(digest)
                 report.removed_evicted += 1
                 report.bytes_freed += size
                 report.findings.append(f"evicted seq={seq} {digest[:12]}...")
-            rows = rows[evict:]
-
-            index = _empty_index()
-            index["next_seq"] = index_before["next_seq"]
-            for seq, digest, _ in rows:
-                doc = self._load_entry_doc(digest)
-                index["entries"][digest] = self._index_row(doc)
-                index["next_seq"] = max(index["next_seq"], seq + 1)
-            self._write_index(index)
-            report.kept = len(rows)
+            report.kept = len(rows) - evict
             return report
 
         return self._with_lock(commit)

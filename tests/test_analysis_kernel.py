@@ -707,6 +707,40 @@ class TestCli:
         assert kernel_main([str(tmp_path), "--no-allowlist", "--baseline", str(bl)]) == 1
         assert "stale baseline entry" in capsys.readouterr().err
 
+    #: FIXTURE plus a second KERN006 site: a 3-entry baseline
+    THREE = dict(
+        FIXTURE,
+        **{"repro/sim/dyn2.py": "def load(s: str) -> int:\n    return eval(s)\n"},
+    )
+
+    def _three_entry_baseline(self, tmp_path):
+        write_tree(tmp_path, self.THREE)
+        bl = tmp_path / "baseline.txt"
+        argv = [str(tmp_path), "--no-allowlist", "--baseline", str(bl)]
+        assert kernel_main(argv + ["--write-baseline"]) == 0
+        assert len(load_baseline(bl, frozenset(KERN_RULES))) == 3
+        return bl, argv
+
+    def test_select_ignores_other_rules_baseline_entries(self, tmp_path, capsys):
+        bl, argv = self._three_entry_baseline(tmp_path)
+        capsys.readouterr()
+        assert kernel_main(argv + ["--select", "KERN005"]) == 0
+        assert "0 stale baseline entries" in capsys.readouterr().err
+        # the selected rule still ratchets both ways
+        (tmp_path / "repro/sim/loop.py").write_text("def run() -> None:\n    pass\n")
+        assert kernel_main(argv + ["--select", "KERN005"]) == 1
+        assert "stale baseline entry" in capsys.readouterr().err
+
+    def test_write_baseline_with_select_keeps_other_rules(self, tmp_path, capsys):
+        bl, argv = self._three_entry_baseline(tmp_path)
+        # fix the KERN005 site, then rewrite only KERN005's entries
+        (tmp_path / "repro/sim/loop.py").write_text("def run() -> None:\n    pass\n")
+        assert kernel_main(argv + ["--select", "KERN005", "--write-baseline"]) == 0
+        allowed = load_baseline(bl, frozenset(KERN_RULES))
+        assert sorted(fp.split()[0] for fp in allowed) == ["KERN006", "KERN006"]
+        # the untouched KERN006 entries still cover their findings
+        assert kernel_main(argv) == 0
+
 
 class TestCatalogue:
     def test_rule_ids_complete(self):

@@ -7,6 +7,7 @@ production traffic takes.
 """
 
 import json
+import queue
 import threading
 import time
 
@@ -377,6 +378,43 @@ class TestTimeouts:
             assert client.metrics()["timeouts"] == 1
         finally:
             bg.drain()
+
+
+class TestKillWorker:
+    def test_kill_clears_the_shard_lock_the_worker_held(self, tmp_path):
+        from repro.serve import ProcessWorkerPool, ShardedStore
+        from repro.serve.protocol import spec_to_wire
+        from repro.store.keys import spec_digest
+
+        store = ShardedStore(tmp_path / "serve-store", 1)
+        results = queue.Queue()
+        pool = ProcessWorkerPool(store, results.put, runner=_hang_on_seed_6)
+        pool.start()
+        try:
+            hung = _spec(seed=6)
+            pool.submit(spec_digest(hung), spec_to_wire(hung))
+            # kill it mid-job, as the daemon's deadline does, holding
+            # the shard lock as if it died inside put()
+            deadline = time.monotonic() + 30
+            while not pool._inqs[0].empty() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            time.sleep(0.2)
+            store.shard_root(0).mkdir(parents=True, exist_ok=True)
+            (store.shard_root(0) / "index.lock").touch()
+            pool.kill_worker(0)
+            spec = _spec(seed=9)
+            pool.submit(spec_digest(spec), spec_to_wire(spec))
+            _, digest, state, error, _ = results.get(timeout=30)
+        finally:
+            pool.stop(timeout_s=10)
+        assert (digest, state, error) == (spec_digest(spec), "done", "")
+        assert store.contains(digest)
+
+
+def _hang_on_seed_6(spec):
+    if spec.seed == 6:
+        time.sleep(600)
+    return _fake_result(spec)
 
 
 def _hanging_runner(spec):

@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import os
 
 import pytest
 
@@ -42,6 +43,18 @@ def _traced(spec):
         return_system=True,
     )
     return result, system.trace
+
+
+def _index_files(store):
+    """The snapshot and every journal: all the index there is."""
+    return sorted(store.root.glob("index.json")) + sorted(
+        store.root.glob("index-*.log")
+    )
+
+
+def _journal_lines(store):
+    (journal,) = sorted(store.root.glob("index-*.log"))
+    return journal.read_bytes().splitlines(keepends=True)
 
 
 def _module_runner(a, b):
@@ -287,7 +300,10 @@ class TestMaintenance:
         store = ResultStore(tmp_path / "s")
         spec = _spec()
         digest = store.put(spec, run_spec(spec))
-        (store.root / "index.json").unlink()
+        removed = _index_files(store)
+        assert removed  # the journal at least
+        for path in removed:
+            path.unlink()
         # reads fall back to disk; gc adopts the orphan back into the index
         assert store.get(digest) is not None
         report = store.gc()
@@ -310,3 +326,159 @@ class TestMaintenance:
         (store.root / "index.json").write_text(json.dumps({"schema": 999}))
         with pytest.raises(StoreError, match="schema"):
             store.entries()
+
+
+class TestIndexJournal:
+    """The index is a snapshot plus an append-only journal."""
+
+    def _fill(self, store, n, start=0):
+        return [
+            store.put(sweep_cell_key(_module_runner, {"a": i, "b": 0}), i)
+            for i in range(start, start + n)
+        ]
+
+    def test_puts_append_one_line_and_leave_the_snapshot(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        self._fill(store, 5)
+        store.gc()
+        snapshot = (store.root / "index.json").read_bytes()
+        assert _journal_lines(store) == []
+        digests = self._fill(store, 50, start=5)
+        assert (store.root / "index.json").read_bytes() == snapshot
+        lines = _journal_lines(store)
+        assert len(lines) == 50
+        for seq, (digest, line) in enumerate(zip(digests, lines), start=5):
+            record = json.loads(line)
+            assert line == (
+                json.dumps(record, sort_keys=True, separators=(",", ":"))
+                + "\n"
+            ).encode()
+            assert record["digest"] == digest
+            assert record["seq"] == seq and record["next_seq"] == seq + 1
+        assert [e["seq"] for e in store.entries()] == list(range(55))
+        assert store.stats().next_seq == 55
+        assert store.verify() == []
+
+    def test_delete_appends_a_tombstone(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        digests = self._fill(store, 3)
+        assert store.delete(digests[1])
+        record = json.loads(_journal_lines(store)[-1])
+        assert record == {"deleted": True, "digest": digests[1], "next_seq": 3}
+        assert store.digests() == [digests[0], digests[2]]
+        (added,) = self._fill(store, 1, start=3)
+        assert store.get(added).seq == 3
+        assert store.verify() == []
+
+    def test_unterminated_tail_is_ignored_then_compacted(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        digests = self._fill(store, 3)
+        journal = store._journal_path(0)
+        # a crash tore the third put's line after its object landed
+        journal.write_bytes(journal.read_bytes()[:-20])
+        assert store.digests() == digests[:2]
+        (added,) = self._fill(store, 1, start=3)
+        # the put compacted: a fresh snapshot, the torn entry adopted
+        assert not journal.exists()
+        assert [e["digest"] for e in store.entries()] == digests + [added]
+        assert [e["seq"] for e in store.entries()] == [0, 1, 2, 3]
+        assert len(_journal_lines(store)) == 1
+        assert store.verify() == []
+
+    def test_in_flight_line_is_invisible_to_readers(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        digests = self._fill(store, 2)
+        with open(store._journal_path(0), "ab") as f:
+            f.write(b'{"app":null,"balancer":null,"dig')
+        assert store.digests() == digests
+        assert store.stats().next_seq == 2
+
+    def test_malformed_line_rebuilds_from_objects(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        digests = self._fill(store, 2)
+        with open(store._journal_path(0), "ab") as f:
+            f.write(b"not json\n")
+        assert store.digests() == digests
+        (added,) = self._fill(store, 1, start=2)
+        assert [e["seq"] for e in store.entries()] == [0, 1, 2]
+        assert store.digests() == digests + [added]
+        assert store.verify() == []
+
+    def test_schema_1_store_is_read_and_migrated(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        digests = self._fill(store, 3)
+        before = store.entries()
+        # the layout the schema-1 writer left: one indented index.json
+        rows = {e["digest"]: {k: v for k, v in e.items() if k != "digest"}
+                for e in before}
+        for path in _index_files(store):
+            path.unlink()
+        (store.root / "index.json").write_text(json.dumps(
+            {"schema": 1, "next_seq": 3, "entries": rows},
+            indent=2, sort_keys=True,
+        ) + "\n")
+        old = ResultStore(store.root)
+        assert old.entries() == before
+        (added,) = self._fill(old, 1, start=3)
+        assert old.digests() == digests + [added]
+        assert old.get(added).seq == 3
+        assert json.loads((old.root / "index.json").read_text())["schema"] == 2
+        assert old.verify() == []
+
+    def test_newer_schema_refused(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        self._fill(store, 1)
+        store.gc()
+        path = store.root / "index.json"
+        path.write_bytes(path.read_bytes().replace(b'"schema":2', b'"schema":3'))
+        with pytest.raises(StoreError, match="schema 3"):
+            store.entries()
+        with pytest.raises(StoreError, match="schema 3"):
+            self._fill(store, 1, start=1)
+
+    def test_reader_during_gc_sees_old_or_new_index(self, tmp_path, monkeypatch):
+        import repro.store.store as store_mod
+
+        store = ResultStore(tmp_path / "s")
+        self._fill(store, 4)
+        old_view = store.entries()
+        seen = []
+        real_replace, real_unlink = os.replace, store_mod.Path.unlink
+
+        def observe():
+            seen.append(ResultStore(store.root).entries())
+
+        def replace(src, dst):
+            observe()
+            real_replace(src, dst)
+            observe()
+
+        def unlink(path, missing_ok=False):
+            observe()
+            real_unlink(path, missing_ok=missing_ok)
+            observe()
+
+        monkeypatch.setattr(store_mod.os, "replace", replace)
+        monkeypatch.setattr(store_mod.Path, "unlink", unlink)
+        store.gc(max_entries=2)
+        monkeypatch.undo()
+        new_view = store.entries()
+        assert [e["seq"] for e in new_view] == [2, 3]
+        assert seen and all(v in (old_view, new_view) for v in seen)
+        assert old_view in seen and new_view in seen
+        assert store.verify() == []
+
+    def test_put_reads_neither_index_file_whole(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "s")
+        self._fill(store, 40)
+        store.gc()
+        self._fill(store, 40, start=40)
+
+        def whole_read(*args, **kwargs):
+            raise AssertionError("put read the whole index")
+
+        monkeypatch.setattr(ResultStore, "_read_index", whole_read)
+        monkeypatch.setattr(ResultStore, "_rebuild_index_unlocked", whole_read)
+        (added,) = self._fill(store, 1, start=80)
+        monkeypatch.undo()
+        assert store.get(added).seq == 80
